@@ -643,7 +643,7 @@ func BenchmarkPointToPointOverlay(b *testing.B) {
 		}
 	})
 
-	ov, err := overlay.Build(context.Background(), snap, overlay.Params{Seed: benchSeed})
+	ov, err := overlay.Build(context.Background(), snap, benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -679,14 +679,16 @@ func BenchmarkCustomizeAfterCut(b *testing.B) {
 	net := benchNetwork(b, citygen.Chicago)
 	g := net.Graph()
 	snap := net.Snapshot(roadnet.WeightTime)
-	ov, err := overlay.Build(context.Background(), snap, overlay.Params{Seed: benchSeed})
+	ov, err := overlay.Build(context.Background(), snap, benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
+	start := time.Now()
 	m, err := overlay.NewMetric(context.Background(), ov)
 	if err != nil {
 		b.Fatal(err)
 	}
+	build := float64(time.Since(start).Nanoseconds())
 	cut := altroute.EdgeID(-1)
 	for e := 0; e < snap.NumEdges(); e++ {
 		if a := g.Arc(altroute.EdgeID(e)); ov.Cell(a.From) == ov.Cell(a.To) {
@@ -714,7 +716,6 @@ func BenchmarkCustomizeAfterCut(b *testing.B) {
 		g.EnableEdge(cut)
 		m.Customize(ctx, cut)
 	}
-	build := float64(m.BuildNanos())
 	b.ReportMetric(build, "build_ns")
 	if build > 0 && b.N > 0 {
 		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
@@ -757,7 +758,7 @@ func BenchmarkOracleLoop(b *testing.B) {
 		}
 	})
 	b.Run("overlay", func(b *testing.B) {
-		ov, err := overlay.Build(context.Background(), snap, overlay.Params{Seed: benchSeed})
+		ov, err := overlay.Build(context.Background(), snap, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -766,7 +767,7 @@ func BenchmarkOracleLoop(b *testing.B) {
 			b.Fatal(err)
 		}
 		p := base
-		p.Overlay = m
+		p.Overlay = overlay.NewQuerier(m)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

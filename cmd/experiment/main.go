@@ -87,7 +87,6 @@ type runner struct {
 	rank    int
 	sources int
 	workers int
-	overlay bool
 	timeout time.Duration
 	ctx     context.Context
 	ckpt    *experiment.Checkpoint
@@ -119,7 +118,6 @@ func (r *runner) spec(ts tableSpec) (experiment.Spec, error) {
 		SourcesPerHospital: r.sources,
 		Options:            altroute.Options{Timeout: r.timeout},
 		Checkpoint:         r.ckpt,
-		UseOverlay:         r.overlay,
 	}, nil
 }
 
@@ -134,7 +132,6 @@ func run(args []string) error {
 		rank     = fs.Int("rank", 0, "p* path rank (default: 100*scale, min 10)")
 		sources  = fs.Int("sources", 10, "random sources per hospital")
 		workers  = fs.Int("workers", 0, "parallel cell workers (0 = all cores, 1 = serial)")
-		useOv    = fs.Bool("overlay", false, "route oracle rounds through the CRP partition-overlay metric (identical results, corridor-pruned searches)")
 		timeout  = fs.Duration("timeout", 0, "per-attack deadline (0 = none); timed-out LP-PathCover attacks degrade to greedy covers")
 		ckptPath = fs.String("checkpoint", "", "journal completed attacks to this file and resume from it")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -181,7 +178,7 @@ func run(args []string) error {
 	defer stop()
 
 	r := &runner{scale: *scale, seed: *seed, rank: *rank, sources: *sources,
-		workers: *workers, overlay: *useOv, timeout: *timeout, ctx: ctx,
+		workers: *workers, timeout: *timeout, ctx: ctx,
 		nets: map[citygen.City]*altroute.Network{}}
 	if *ckptPath != "" {
 		ckpt, err := experiment.OpenCheckpoint(*ckptPath, experiment.Header{

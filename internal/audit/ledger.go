@@ -361,11 +361,14 @@ func Open(cfg Config) (*Ledger, error) { //lint:allow ctxflow replay is linear i
 	return l, nil
 }
 
-// flushLoop is the durability supervisor: every FlushEvery (or kick) it
-// seals whatever is pending — bounding the crash-loss window in time the
-// same way FlushRecords bounds it in count — runs every fsync the append
-// path deferred, compacts when rotation has built up enough sealed
-// segments, and anchors the latest seal to the witness. Errors are
+// flushLoop is the durability supervisor. Every FlushEvery it seals
+// whatever is pending — bounding the crash-loss window in time the same
+// way FlushRecords bounds it in count. On every tick and every kick it
+// runs each fsync the append path deferred, compacts when rotation has
+// built up enough sealed segments, and anchors the latest seal to the
+// witness. A kick never seals: the batch it was sent for is already
+// sealed, and sealing a partial batch at whatever moment this goroutine
+// wakes would make batch boundaries depend on scheduling. Errors are
 // sticky in l.failed; the loop keeps draining so a poisoned ledger still
 // reports through Err rather than wedging.
 func (l *Ledger) flushLoop() {
@@ -373,14 +376,18 @@ func (l *Ledger) flushLoop() {
 	t := time.NewTicker(l.cfg.FlushEvery)
 	defer t.Stop()
 	for {
+		tick := false
 		select {
 		case <-l.stop:
 			return
 		case <-t.C:
+			tick = true
 		case <-l.kick:
 		}
 		l.mu.Lock()
-		_ = l.sealLocked()
+		if tick {
+			_ = l.sealLocked()
+		}
 		wantCompact := l.cfg.CompactKeep > 0 && len(l.segs) > l.cfg.CompactKeep && l.failed == nil
 		l.mu.Unlock()
 		_ = l.syncDirty()

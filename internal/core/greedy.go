@@ -71,7 +71,7 @@ func naiveCutLoop(ctx context.Context, p Problem, opts Options, pick func(graph.
 	budget := p.budgetOrInf()
 	// Built before the first cut: cuts only disable edges, so the bounds
 	// the oracle caches here (a reverse potential for the baseline, the
-	// overlay target labels when the problem carries a metric) stay
+	// overlay target labels when the problem carries a querier) stay
 	// admissible for every later round.
 	orc := p.newOracle(ctx, r)
 

@@ -10,7 +10,7 @@ import (
 // oracleState binds one attack run's exclusivity oracle. With a valid
 // Problem.Overlay it builds the target's backward overlay labels once at
 // the run's base state and answers every round through corridor-pruned
-// searches; otherwise it delegates to the baseline
+// searches; otherwise it delegates to the CSR
 // BestAlternativeWithPotential oracle. Either way the verdict per round
 // is identical (see overlay.Querier.Violating for the exact contract).
 //
@@ -32,20 +32,19 @@ type oracleState struct {
 
 // newOracle prepares the oracle for one attack run. Must be called at
 // the run's base state, before the first cut, so the overlay labels are
-// lower bounds for every round. A nil, foreign-graph, or
-// topology-stale overlay falls back to the baseline oracle, which is
-// when the reverse potential gets computed — the overlay path never
-// needs it (its target labels carry the equivalent bounds), and one
-// full reverse Dijkstra per run is exactly the setup cost the overlay
-// exists to avoid.
+// lower bounds for every round. Without a Querier, or with one over a
+// foreign-graph or topology-stale snapshot, the run uses the CSR oracle,
+// which is when the reverse potential gets computed — the overlay path
+// never needs it (its target labels carry the equivalent bounds), and
+// one full reverse Dijkstra per run is exactly the setup cost the
+// overlay exists to avoid.
 func (p *Problem) newOracle(ctx context.Context, r *graph.Router) *oracleState {
 	o := &oracleState{p: p, r: r}
-	m := p.Overlay
-	if m == nil || !m.Snapshot().Valid() || m.Snapshot().Graph() != p.G {
+	q := p.Overlay
+	if q == nil || !q.Metric().Snapshot().Valid() || q.Metric().Snapshot().Graph() != p.G {
 		o.pot = p.potential(r)
 		return o
 	}
-	q := overlay.NewQuerier(m)
 	q.SetContext(ctx)
 	o.q = q
 	o.tl = q.BuildTargetLabels(p.Dest)
@@ -62,10 +61,10 @@ func (o *oracleState) violating() (graph.Path, bool) {
 }
 
 // cut reports newly disabled edges to the overlay metric, marking their
-// cells for coalesced clique repair. No-op on the baseline oracle.
+// cells for coalesced clique repair. No-op on the CSR oracle.
 func (o *oracleState) cut(edges ...graph.EdgeID) {
 	if o.q != nil && len(edges) > 0 {
-		o.p.Overlay.MarkStale(edges...)
+		o.q.Metric().MarkStale(edges...)
 	}
 }
 
@@ -73,6 +72,6 @@ func (o *oracleState) cut(edges ...graph.EdgeID) {
 // cells must be repaired before the metric's cliques are read again.
 func (o *oracleState) uncut(edges []graph.EdgeID) {
 	if o.q != nil && len(edges) > 0 {
-		o.p.Overlay.MarkStale(edges...)
+		o.q.Metric().MarkStale(edges...)
 	}
 }

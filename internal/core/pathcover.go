@@ -66,7 +66,7 @@ func pathCoverLoop(ctx context.Context, p Problem, opts Options, solve coverSolv
 	// Built on the unmodified graph, before the first constraint round:
 	// rounds only disable edges, so the bounds the oracle caches here (a
 	// reverse potential for the baseline, the overlay target labels when
-	// the problem carries a metric) stay admissible for every round,
+	// the problem carries a querier) stay admissible for every round,
 	// which each rollback restores to this same base state.
 	orc := p.newOracle(ctx, r)
 

@@ -102,17 +102,20 @@ type Problem struct {
 	// supplied, its table is bit-identical to what that Dijkstra would
 	// produce, so results are unchanged.
 	Potential *graph.Potential
-	// Overlay optionally carries a CRP partition-overlay metric built over
-	// a snapshot of G under Weight (overlay.Build + overlay.NewMetric).
-	// When set and still valid, the oracle loops run their exclusivity
-	// checks through corridor-pruned overlay searches instead of unbounded
-	// A* spur searches, and report each cut to the metric so its cliques
-	// are repaired (per affected cell, coalesced) before the next clique
-	// read. Verdicts and witness lengths are identical to the baseline
-	// oracle; witness edges match except on exact float-length ties (see
-	// overlay.Querier.Violating). Nil, foreign, or stale overlays fall
-	// back to the baseline oracle silently.
-	Overlay *overlay.Metric
+	// Overlay optionally carries a caller-owned Querier over a CRP
+	// partition-overlay metric built on a snapshot of G under Weight
+	// (overlay.Build + overlay.NewMetric + overlay.NewQuerier). When set
+	// and still valid, the oracle loops run their exclusivity checks
+	// through corridor-pruned overlay searches instead of unbounded A*
+	// spur searches, and report each cut to the metric so its cliques are
+	// repaired (per affected cell, coalesced) before the next clique read.
+	// The run attaches its context to the Querier, so one Querier serves
+	// any number of sequential runs but never two at once. Verdicts and
+	// witness lengths are identical to the CSR oracle; witness edges
+	// match except on exact float-length ties (see
+	// overlay.Querier.Violating). Without a Querier, or with one over a
+	// foreign or stale snapshot, the loops use the CSR oracle.
+	Overlay *overlay.Querier
 }
 
 // router returns a context-attached Router running on the problem's frozen

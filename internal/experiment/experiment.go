@@ -56,13 +56,6 @@ type Spec struct {
 	Budget float64
 	// Options tunes the attack algorithms.
 	Options core.Options
-	// UseOverlay builds one CRP partition-overlay metric per runner (per
-	// worker in the parallel runner, each over its own clone's snapshot)
-	// and routes every attack's oracle rounds through corridor-pruned
-	// overlay searches. Results are identical to the baseline oracle
-	// (witness edges can differ only on exact float-length ties; see
-	// overlay.Querier.Violating).
-	UseOverlay bool
 	// Checkpoint, when non-nil, journals every completed (algorithm, cost
 	// type, unit) attack and replays journaled results instead of
 	// recomputing them, so an interrupted run resumes where it stopped.
@@ -303,7 +296,7 @@ func RunTableOnUnitsCtx(ctx context.Context, net *roadnet.Network, units []Unit,
 	// One frozen snapshot serves every cell and unit of the run: attacks
 	// only toggle disabled flags, which the snapshot observes live.
 	snap := net.Snapshot(spec.WeightType)
-	metric := buildMetric(ctx, snap, spec)
+	q := newQuerier(ctx, snap, spec.Seed)
 	table := Table{
 		City:       net.Name(),
 		WeightType: spec.WeightType,
@@ -312,7 +305,7 @@ func RunTableOnUnitsCtx(ctx context.Context, net *roadnet.Network, units []Unit,
 	}
 	for _, alg := range spec.Algorithms {
 		for _, ct := range spec.CostTypes {
-			cell, err := runCell(ctx, net.Graph(), snap, metric, w, net.Cost(ct), table.City, alg, ct, units, spec)
+			cell, err := runCell(ctx, net.Graph(), snap, q, w, net.Cost(ct), table.City, alg, ct, units, spec)
 			table.Cells = append(table.Cells, cell)
 			if err != nil {
 				return table, err
@@ -327,7 +320,7 @@ func RunTableOnUnitsCtx(ctx context.Context, net *roadnet.Network, units []Unit,
 // found in spec.Checkpoint are replayed instead of recomputed; freshly
 // computed units are journaled. A dead ctx stops the loop: the partial cell
 // is returned with ErrInterrupted wrapping the context's cause.
-func runCell(ctx context.Context, g *graph.Graph, snap *graph.Snapshot, metric *overlay.Metric, w, cost graph.WeightFunc, city string, alg core.Algorithm, ct roadnet.CostType, units []Unit, spec Spec) (Cell, error) {
+func runCell(ctx context.Context, g *graph.Graph, snap *graph.Snapshot, q *overlay.Querier, w, cost graph.WeightFunc, city string, alg core.Algorithm, ct roadnet.CostType, units []Unit, spec Spec) (Cell, error) {
 	cell := Cell{Algorithm: alg, CostType: ct}
 	wt := spec.WeightType.String()
 	interrupted := func() (Cell, error) {
@@ -351,7 +344,7 @@ func runCell(ctx context.Context, g *graph.Graph, snap *graph.Snapshot, metric *
 			Cost:     cost,
 			Budget:   spec.Budget,
 			Snapshot: snap,
-			Overlay:  metric,
+			Overlay:  q,
 		}
 		opts := spec.Options
 		opts.Seed = spec.Seed
@@ -388,14 +381,12 @@ func runCell(ctx context.Context, g *graph.Graph, snap *graph.Snapshot, metric *
 	return cell, nil
 }
 
-// buildMetric prepares the overlay metric for one runner's snapshot when
-// the spec asks for it. A cancelled build returns nil — the attacks fall
-// back to the baseline oracle and surface the dead context themselves.
-func buildMetric(ctx context.Context, snap *graph.Snapshot, spec Spec) *overlay.Metric {
-	if !spec.UseOverlay {
-		return nil
-	}
-	ov, err := overlay.Build(ctx, snap, overlay.Params{Seed: spec.Seed})
+// newQuerier builds the partition overlay and its metric over one
+// runner's snapshot and returns the runner's Querier, which every attack
+// of the runner reuses. A cancelled build returns nil: the attacks then
+// take the CSR oracle and surface the dead context themselves.
+func newQuerier(ctx context.Context, snap *graph.Snapshot, seed int64) *overlay.Querier {
+	ov, err := overlay.Build(ctx, snap, seed)
 	if err != nil {
 		return nil
 	}
@@ -403,7 +394,7 @@ func buildMetric(ctx context.Context, snap *graph.Snapshot, spec Spec) *overlay.
 	if err != nil {
 		return nil
 	}
-	return m
+	return overlay.NewQuerier(m)
 }
 
 // attackUnit runs one attack, recovering panics that escape core.RunCtx's

@@ -62,20 +62,20 @@ func RunTableOnUnitsParallelCtx(ctx context.Context, net *roadnet.Network, units
 		go func() {
 			defer wg.Done()
 			local := net.Clone()
-			// Weight and cost functions — and the frozen snapshot and
-			// overlay metric — are derived once per worker, not per job or
-			// per unit: jobs repeat the same few cost types on the same
+			// Weight and cost functions — and the frozen snapshot, overlay
+			// metric and Querier — are derived once per worker, not per job
+			// or per unit: jobs repeat the same few cost types on the same
 			// cloned graph. Each worker owns its metric (built over its own
 			// clone's snapshot), so customization never races across workers.
 			weight := local.Weight(spec.WeightType)
 			snap := local.Snapshot(spec.WeightType)
-			metric := buildMetric(ctx, snap, spec)
+			q := newQuerier(ctx, snap, spec.Seed)
 			costs := make(map[roadnet.CostType]graph.WeightFunc, len(spec.CostTypes))
 			for _, ct := range spec.CostTypes {
 				costs[ct] = local.Cost(ct)
 			}
 			for job := range jobCh {
-				cell, err := runCell(ctx, local.Graph(), snap, metric, weight, costs[job.ct], net.Name(), job.alg, job.ct, units, spec)
+				cell, err := runCell(ctx, local.Graph(), snap, q, weight, costs[job.ct], net.Name(), job.alg, job.ct, units, spec)
 				results[job.idx] = cell
 				cellErrs[job.idx] = err
 			}

@@ -2,8 +2,7 @@ package overlay
 
 // White-box tests: clique exactness against a reference restricted
 // Dijkstra, the eCell customization dispatch table, the
-// cells-recomputed counter, MarkStale coalescing, and Clone
-// independence. Black-box partition/query differentials live in the
+// per-cut customization scope, and MarkStale coalescing. Black-box partition/query differentials live in the
 // overlay_test package.
 
 import (
@@ -24,7 +23,7 @@ func buildFixture(t testing.TB) (*roadnet.Network, *Overlay, *Metric) {
 		t.Fatal(err)
 	}
 	snap := net.Snapshot(roadnet.WeightTime)
-	ov, err := Build(context.Background(), snap, Params{Seed: 1})
+	ov, err := Build(context.Background(), snap, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,9 +152,6 @@ func TestSingleCutCustomizationScope(t *testing.T) {
 	if n := m.Customize(context.Background(), interior); n != 1 {
 		t.Fatalf("interior cut recomputed %d cells, want 1", n)
 	}
-	if got := m.CellsRecomputed(); got != 1 {
-		t.Fatalf("CellsRecomputed = %d, want 1", got)
-	}
 	g.EnableEdge(interior)
 	if n := m.Customize(context.Background(), interior); n != 1 {
 		t.Fatalf("re-enable recomputed %d cells, want 1", n)
@@ -186,78 +182,45 @@ func TestMarkStaleCoalescesAndSettles(t *testing.T) {
 	m.MarkStale(interior)
 	g.EnableEdge(interior)
 	m.MarkStale(interior) // double toggle: same cell, coalesced
-	if got := m.Pending(); got != 1 {
+	// MarkStale defers: the cell is queued once, nothing is recomputed.
+	if got := m.pendingCount.Load(); got != 1 {
 		t.Fatalf("Pending = %d after coalesced double toggle, want 1", got)
 	}
-	if got := m.CellsRecomputed(); got != 0 {
-		t.Fatalf("MarkStale recomputed %d cells, want 0 (deferred)", got)
-	}
-	m.ensureSettled()
-	if got := m.Pending(); got != 0 {
-		t.Fatalf("Pending = %d after settle, want 0", got)
+	// settle drains the queue the way a query's ensureSettled does and
+	// returns the number of cliques it recomputed.
+	settle := func() int {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.drainLocked(nil)
 	}
 	// The toggles net out to the base state and the clique was computed
 	// all-enabled, so the coalesced repair is a recognized no-op.
-	if got := m.CellsRecomputed(); got != 0 {
+	if got := settle(); got != 0 {
 		t.Fatalf("settle recomputed %d cells after net-zero toggle, want 0 (base skip)", got)
+	}
+	if got := m.pendingCount.Load(); got != 0 {
+		t.Fatalf("Pending = %d after settle, want 0", got)
 	}
 
 	// A disable that sticks must still repair on settle.
 	g.DisableEdge(interior)
 	m.MarkStale(interior)
-	m.ensureSettled()
-	if got := m.CellsRecomputed(); got != 1 {
+	if got := settle(); got != 1 {
 		t.Fatalf("settle recomputed %d cells after sticking disable, want 1", got)
 	}
 	// And the repair back to base after re-enabling is real work too: the
 	// clique bytes currently describe the cut state.
 	g.EnableEdge(interior)
 	m.MarkStale(interior)
-	m.ensureSettled()
-	if got := m.CellsRecomputed(); got != 2 {
-		t.Fatalf("settle recomputed %d cells after re-enable of dirty cell, want 2", got)
-	}
-}
-
-func TestCloneIsIndependent(t *testing.T) {
-	net, ov, m := buildFixture(t)
-	g := net.Graph()
-	clone := m.Clone()
-	if clone.CellsRecomputed() != 0 {
-		t.Fatalf("clone counters must start at zero")
-	}
-
-	interior := graph.EdgeID(-1)
-	for e := range ov.eCell {
-		if ov.eCell[e] >= 0 {
-			interior = graph.EdgeID(e)
-			break
-		}
-	}
-	if interior < 0 {
-		t.Skip("fixture lacks an interior edge")
-	}
-	c := ov.eCell[interior]
-	base := m.cliqueOff[c]
-	k := int64(ov.boundaryCount(c))
-	before := append([]float64(nil), clone.clique[base:base+k*k]...)
-
-	g.DisableEdge(interior)
-	m.Customize(context.Background(), interior)
-	g.EnableEdge(interior)
-	defer m.Customize(context.Background(), interior)
-
-	for i, v := range clone.clique[base : base+k*k] {
-		if v != before[i] {
-			t.Fatalf("customizing the original mutated the clone's clique at %d", i)
-		}
+	if got := settle(); got != 1 {
+		t.Fatalf("settle recomputed %d cells after re-enable of dirty cell, want 1", got)
 	}
 }
 
 func TestPartitionDeterministicUnderSeed(t *testing.T) {
 	net, ov, _ := buildFixture(t)
 	snap := net.Snapshot(roadnet.WeightTime)
-	again, err := Build(context.Background(), snap, Params{Seed: 1})
+	again, err := Build(context.Background(), snap, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"altroute/internal/graph"
 )
@@ -56,10 +55,6 @@ type Metric struct {
 	// build entirely.
 	tlCache map[graph.NodeID]*TargetLabels
 
-	cellsRecomputed atomic.Int64
-	buildNS         int64
-	customizeNS     atomic.Int64
-
 	// Restricted-Dijkstra scratch, guarded by mu (writers only).
 	dist  []float64
 	stamp []uint64
@@ -71,7 +66,6 @@ type Metric struct {
 // state. Cancelling ctx aborts with its error; the partial metric is
 // discarded.
 func NewMetric(ctx context.Context, ov *Overlay) (*Metric, error) {
-	start := time.Now() //lint:allow wallclock build duration feeds shard stats observability, never results
 	m := &Metric{
 		ov:           ov,
 		cliqueOff:    make([]int64, ov.numCells+1),
@@ -96,8 +90,6 @@ func NewMetric(ctx context.Context, ov *Overlay) (*Metric, error) {
 		}
 		m.computeCellLocked(int32(c))
 	}
-	m.cellsRecomputed.Store(0)                  // construction is not customization
-	m.buildNS = time.Since(start).Nanoseconds() //lint:allow wallclock build duration feeds shard stats observability, never results
 	return m, nil
 }
 
@@ -236,13 +228,9 @@ func (m *Metric) MarkStale(edges ...graph.EdgeID) {
 	m.mu.Unlock()
 }
 
-// Pending returns the number of cells queued for repair.
-func (m *Metric) Pending() int { return int(m.pendingCount.Load()) }
-
 // drainLocked recomputes queued cells, stopping early (cells stay
 // queued) when ctx is cancelled.
 func (m *Metric) drainLocked(ctx context.Context) int {
-	start := time.Now() //lint:allow wallclock customize duration feeds shard stats observability, never results
 	done := 0
 	for len(m.pending) > 0 {
 		if ctx != nil && ctx.Err() != nil {
@@ -262,10 +250,6 @@ func (m *Metric) drainLocked(ctx context.Context) int {
 		done++
 	}
 	m.pendingCount.Store(int32(len(m.pending)))
-	if done > 0 {
-		m.cellsRecomputed.Add(int64(done))
-	}
-	m.customizeNS.Add(time.Since(start).Nanoseconds()) //lint:allow wallclock customize duration feeds shard stats observability, never results
 	return done
 }
 
@@ -294,48 +278,5 @@ func (m *Metric) ensureSettled() {
 	m.mu.Unlock()
 }
 
-// Clone returns an independent copy sharing the immutable Overlay:
-// cliques and pending state are copied, counters start at zero. The
-// clone must only be used with a graph whose disabled state matches the
-// one the cliques were computed under — in practice, clone the graph and
-// rebuild, or clone metric and graph together before any divergence.
-func (m *Metric) Clone() *Metric {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	c := &Metric{
-		ov:           m.ov,
-		cliqueOff:    m.cliqueOff,
-		clique:       append([]float64(nil), m.clique...),
-		pending:      append([]int32(nil), m.pending...),
-		pendingMark:  append([]bool(nil), m.pendingMark...),
-		baseDisabled: m.baseDisabled, // immutable after construction
-		cliqueDirty:  append([]bool(nil), m.cliqueDirty...),
-		tlCache:      make(map[graph.NodeID]*TargetLabels, len(m.tlCache)),
-		dist:         make([]float64, m.ov.csr.N),
-		stamp:        make([]uint64, m.ov.csr.N),
-		buildNS:      m.buildNS,
-	}
-	for t, tl := range m.tlCache {
-		c.tlCache[t] = tl // entries are immutable: sharing them is safe
-	}
-	c.pendingCount.Store(int32(len(c.pending)))
-	return c
-}
-
-// Overlay returns the topology overlay the metric is built over.
-func (m *Metric) Overlay() *Overlay { return m.ov }
-
 // Snapshot returns the frozen snapshot the overlay was built over.
 func (m *Metric) Snapshot() *graph.Snapshot { return m.ov.snap }
-
-// CellsRecomputed returns the cumulative number of cell cliques
-// recomputed by Customize/Apply calls.
-func (m *Metric) CellsRecomputed() int64 { return m.cellsRecomputed.Load() }
-
-// BuildNanos returns the wall-clock nanoseconds the initial clique build
-// took — observability only.
-func (m *Metric) BuildNanos() int64 { return m.buildNS }
-
-// CustomizeNanos returns cumulative wall-clock nanoseconds spent in
-// customization drains — observability only.
-func (m *Metric) CustomizeNanos() int64 { return m.customizeNS.Load() }

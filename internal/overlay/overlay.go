@@ -28,28 +28,10 @@ import (
 	"altroute/internal/graph"
 )
 
-// DefaultMaxCellSize is the partition leaf bound when Params.MaxCellSize
-// is zero. Small enough that within-cell restricted Dijkstras stay in
-// cache, large enough that the boundary graph is much smaller than the
-// original.
-const DefaultMaxCellSize = 64
-
-// Params controls partition construction. The zero value is usable.
-type Params struct {
-	// MaxCellSize bounds the number of nodes per leaf cell.
-	// Defaults to DefaultMaxCellSize when <= 0.
-	MaxCellSize int
-	// Seed drives the BFS-grown bisection's start-node choices. The
-	// partition is a pure function of (topology, MaxCellSize, Seed).
-	Seed int64
-}
-
-func (p Params) withDefaults() Params {
-	if p.MaxCellSize <= 0 {
-		p.MaxCellSize = DefaultMaxCellSize
-	}
-	return p
-}
+// maxCell bounds the number of nodes per leaf cell: small enough that
+// within-cell restricted Dijkstras stay in cache, large enough that the
+// boundary graph is much smaller than the original.
+const maxCell = 64
 
 // Overlay is the topology half of the CRP structure: the partition,
 // boundary indexing, and cross-cell arc lists. It is immutable after
@@ -57,9 +39,8 @@ func (p Params) withDefaults() Params {
 // state (the cliques) lives in Metric so that edge disables never touch
 // the Overlay.
 type Overlay struct {
-	snap   *graph.Snapshot
-	csr    graph.CSRView
-	params Params
+	snap *graph.Snapshot
+	csr  graph.CSRView
 
 	numCells  int
 	cell      []int32 // node -> leaf cell
@@ -99,22 +80,20 @@ type Overlay struct {
 	cellEdges []int32
 }
 
-// Build constructs the partition overlay for snap. The partition is
-// deterministic under p.Seed: recursive bisection where each half is
-// grown by BFS (over the undirected adjacency, CSR slot order) from a
-// seeded start node until it holds half the set. Disabled edges are
-// ignored — the partition is topology-only, so disable/enable churn
-// never invalidates it.
-func Build(ctx context.Context, snap *graph.Snapshot, p Params) (*Overlay, error) {
-	p = p.withDefaults()
+// Build constructs the partition overlay for snap. The partition is a
+// pure function of the topology and seed: recursive bisection where
+// each half is grown by BFS (over the undirected adjacency, CSR slot
+// order) from a seeded start node until it holds half the set. Disabled
+// edges are ignored — the partition is topology-only, so disable/enable
+// churn never invalidates it.
+func Build(ctx context.Context, snap *graph.Snapshot, seed int64) (*Overlay, error) {
 	csr := snap.View()
 	n, m := csr.N, csr.M
-	ov := &Overlay{snap: snap, csr: csr, params: p}
+	ov := &Overlay{snap: snap, csr: csr}
 
 	b := &bisector{
 		csr:      csr,
-		max:      p.MaxCellSize,
-		rng:      rand.New(rand.NewSource(p.Seed)),
+		rng:      rand.New(rand.NewSource(seed)),
 		cell:     make([]int32, n),
 		setStamp: make([]uint64, n),
 		visStamp: make([]uint64, n),
@@ -272,7 +251,6 @@ func (ov *Overlay) buildCrossArcs() {
 // bisector carries the recursive bisection's reusable scratch.
 type bisector struct {
 	csr      graph.CSRView
-	max      int
 	rng      *rand.Rand
 	cell     []int32
 	numCells int32
@@ -293,7 +271,7 @@ func (b *bisector) bisect(ctx context.Context, set []int32) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if len(set) <= b.max {
+	if len(set) <= maxCell {
 		id := b.numCells
 		b.numCells++
 		for _, v := range set {
@@ -363,20 +341,8 @@ func (b *bisector) bisect(ctx context.Context, set []int32) error {
 	return b.bisect(ctx, rest)
 }
 
-// Snapshot returns the frozen snapshot the overlay was built over.
-func (ov *Overlay) Snapshot() *graph.Snapshot { return ov.snap }
-
-// NumCells returns the number of leaf cells.
-func (ov *Overlay) NumCells() int { return ov.numCells }
-
-// NumBoundary returns the number of boundary nodes.
-func (ov *Overlay) NumBoundary() int { return ov.nb }
-
 // Cell returns the leaf cell containing node v.
 func (ov *Overlay) Cell(v graph.NodeID) int { return int(ov.cell[v]) }
-
-// CellSize returns the number of nodes in cell c.
-func (ov *Overlay) CellSize(c int) int { return int(ov.cellOff[c+1] - ov.cellOff[c]) }
 
 // boundaryCount returns the number of boundary nodes of cell c.
 func (ov *Overlay) boundaryCount(c int32) int {

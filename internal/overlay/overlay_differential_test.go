@@ -30,7 +30,7 @@ func diffFixture(t testing.TB, city citygen.City, seed int64) (*roadnet.Network,
 		t.Fatal(err)
 	}
 	snap := net.Snapshot(roadnet.WeightTime)
-	ov, err := overlay.Build(context.Background(), snap, overlay.Params{Seed: seed})
+	ov, err := overlay.Build(context.Background(), snap, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestQueryAfterSetRoadRebuild(t *testing.T) {
 	}
 
 	snap := net.Snapshot(roadnet.WeightTime) // refrozen under the new weights
-	ov, err := overlay.Build(context.Background(), snap, overlay.Params{Seed: 4})
+	ov, err := overlay.Build(context.Background(), snap, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,13 +301,14 @@ func TestAttackResultsIdenticalWithOverlay(t *testing.T) {
 		t.Skip("no rank-10 p* found")
 	}
 
+	q := overlay.NewQuerier(m)
 	for _, alg := range core.Algorithms() {
 		base := core.Problem{
 			G: net.Graph(), Source: src, Dest: h.Node, PStar: pstar,
 			Weight: w, Cost: cost, Snapshot: snap,
 		}
 		withOv := base
-		withOv.Overlay = m
+		withOv.Overlay = q
 
 		resBase, errBase := core.Run(alg, base, core.Options{Seed: 5})
 		resOv, errOv := core.Run(alg, withOv, core.Options{Seed: 5})

@@ -27,7 +27,7 @@ func TestConcurrentCustomizeAndQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := net.Snapshot(roadnet.WeightTime)
-	ov, err := overlay.Build(context.Background(), snap, overlay.Params{Seed: 9})
+	ov, err := overlay.Build(context.Background(), snap, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,9 +97,6 @@ type TargetLabels struct {
 	pot []float64
 }
 
-// Target returns the node the labels were built for.
-func (tl *TargetLabels) Target() graph.NodeID { return tl.target }
-
 // Querier runs overlay-accelerated point-to-point queries and oracle
 // checks over one Metric. It owns epoch-stamped scratch arrays exactly
 // like graph.Router, so creating one is cheap relative to queries but
@@ -154,6 +151,9 @@ func NewQuerier(m *Metric) *Querier {
 // boundaries and inside label sweeps. A cancelled query reports "no
 // path" — the same contract as graph.Router.SetContext.
 func (q *Querier) SetContext(ctx context.Context) { q.ctx = ctx }
+
+// Metric returns the metric q queries.
+func (q *Querier) Metric() *Metric { return q.m }
 
 func (q *Querier) interrupted() bool {
 	return q.ctx != nil && q.ctx.Err() != nil

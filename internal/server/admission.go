@@ -47,7 +47,7 @@ func newAdmission(capacity, maxQueue int) *admission {
 
 // Acquire blocks until n units are granted, the queue rejects the request,
 // or ctx dies. n is clamped to [1, capacity] by the caller (see
-// estimateUnits); n > capacity can never be granted and returns ErrShed.
+// attackUnits); n > capacity can never be granted and returns ErrShed.
 func (a *admission) Acquire(ctx context.Context, n int) error {
 	if n < 1 {
 		n = 1
@@ -141,7 +141,8 @@ func EstimateWork(rank, nodes, edges int) float64 {
 
 // estimateUnits converts estimated work into admission units: 1 unit per
 // unitWork edge relaxations, minimum 1. The caller compares the result
-// against the per-request budget to decide shedding.
+// against the per-request budget to decide shedding, and clamps it to the
+// capacity before acquiring.
 func estimateUnits(work, unitWork float64) int {
 	if unitWork <= 0 || work <= unitWork {
 		return 1

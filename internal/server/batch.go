@@ -80,10 +80,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// naturally serialized against other heavy work.
 	perAttack := EstimateWork(spec.PathRank, shard.Net().NumIntersections(), shard.Net().Graph().NumEdges())
 	grid := len(spec.Algorithms) * len(spec.CostTypes) * spec.SourcesPerHospital
-	units := estimateUnits(perAttack*float64(grid), s.cfg.UnitWork)
-	if units > s.cfg.Capacity {
-		units = s.cfg.Capacity
-	}
+	units := min(estimateUnits(perAttack*float64(grid), s.cfg.UnitWork), s.cfg.Capacity)
 
 	// The batch context dies when the client disconnects or the server
 	// drains; either way the run stops at unit granularity with its

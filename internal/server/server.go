@@ -67,8 +67,10 @@ type Config struct {
 	// MaxQueue bounds the admission wait queue; requests beyond it are
 	// rejected with 503 + Retry-After. Default 32.
 	MaxQueue int
-	// MaxRequestUnits sheds any single request whose estimated cost
-	// exceeds it. Default Capacity (a request may fill the whole budget).
+	// MaxRequestUnits sheds any single attack whose estimated cost
+	// exceeds it. Zero (the default) sheds none: an estimate above
+	// Capacity is clamped to Capacity, as a batch's is, so a request may
+	// fill the whole budget and then runs with it to itself.
 	MaxRequestUnits int
 	// UnitWork is the estimated edge relaxations per admission unit.
 	// Default 2e6.
@@ -135,9 +137,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 32
-	}
-	if c.MaxRequestUnits <= 0 {
-		c.MaxRequestUnits = c.Capacity
 	}
 	if c.UnitWork <= 0 {
 		c.UnitWork = 2e6
@@ -699,9 +698,7 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 	// Load shedding (cold path only): a request whose estimated Yen work
 	// exceeds the per-request budget is refused before it touches the
 	// coalescer or the queue.
-	work := EstimateWork(req.Rank, shard.Net().NumIntersections(), shard.Net().Graph().NumEdges())
-	units := estimateUnits(work, s.cfg.UnitWork)
-	if units > s.cfg.MaxRequestUnits {
+	if units, _ := s.attackUnits(shard.Net(), req.Rank); s.cfg.MaxRequestUnits > 0 && units > s.cfg.MaxRequestUnits {
 		s.writeError(w, http.StatusServiceUnavailable, "shed",
 			fmt.Errorf("%w (estimated %d units, budget %d)", ErrShed, units, s.cfg.MaxRequestUnits))
 		return

@@ -261,6 +261,37 @@ func TestAttackLoadShedding(t *testing.T) {
 	}
 }
 
+func TestAttackOverCapacityIsClampedNotShed(t *testing.T) {
+	// Capacity 8 with MaxRequestUnits at its default, and a unit size that
+	// makes the request 26 units: the paper-scale Chicago case. The
+	// estimate clamps to the capacity, so the request is admitted and
+	// served instead of being shed.
+	net := gridNetwork(t, 4)
+	req := gridAttack()
+	work := EstimateWork(req.Rank, net.NumIntersections(), net.Graph().NumEdges())
+	s := newTestServer(t, func(c *Config) {
+		c.Net = net
+		c.Capacity = 8
+		c.UnitWork = work / 25.5
+	})
+	if got := estimateUnits(work, s.cfg.UnitWork); got != 26 {
+		t.Fatalf("estimate = %d units, want 26", got)
+	}
+	if est, charge := s.attackUnits(net, req.Rank); est != 26 || charge != 8 {
+		t.Fatalf("attackUnits = (%d, %d), want (26, 8)", est, charge)
+	}
+	w, resp, errResp := postAttack(t, s, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (%+v)", w.Code, errResp)
+	}
+	if len(resp.Removed) == 0 {
+		t.Fatal("admitted attack removed no edges")
+	}
+	if used := s.adm.Used(); used != 0 {
+		t.Fatalf("admission still holds %d units after the request", used)
+	}
+}
+
 func TestAttackQueueFullAndAdmissionTimeout(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
 		c.Capacity = 1

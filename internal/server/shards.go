@@ -81,6 +81,15 @@ func (s *Server) shardFor(city string) (*registry.Shard, error) {
 	return shard, nil
 }
 
+// attackUnits returns the estimated cost of one cold attack at rank on
+// net, in admission units, and the charge admission takes for it: the
+// estimate clamped to Capacity, as a batch's is, so it can always be
+// admitted.
+func (s *Server) attackUnits(net *roadnet.Network, rank int) (estimate, charge int) {
+	estimate = estimateUnits(EstimateWork(rank, net.NumIntersections(), net.Graph().NumEdges()), s.cfg.UnitWork)
+	return estimate, min(estimate, s.cfg.Capacity)
+}
+
 // computeAttack is the coalesced cold path: admission, breaker, p* from
 // the shard's frozen snapshot (or the path-set cache), then the attack
 // algorithm on a generation-stamped pooled clone. It runs once per key on
@@ -95,9 +104,7 @@ func (s *Server) computeAttack(ctx context.Context, shard *registry.Shard, key a
 
 	// Admission is charged once per computation, not per coalesced waiter:
 	// ten identical requests cost the service one unit budget.
-	net := shard.Net()
-	work := EstimateWork(key.rank, net.NumIntersections(), net.Graph().NumEdges())
-	units := estimateUnits(work, s.cfg.UnitWork)
+	_, units := s.attackUnits(shard.Net(), key.rank)
 	if err := s.adm.Acquire(ctx, units); err != nil {
 		// Tagged so waiters can tell "died waiting for admission" (503,
 		// back off) from "died attacking" (504).
