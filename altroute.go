@@ -94,7 +94,9 @@ const (
 
 // Attack types (paper §III-A).
 type (
-	// Problem is a Force Path Cut instance.
+	// Problem is a Force Path Cut instance. Its Overlay field has a type
+	// from an internal package, so callers outside this module leave it
+	// nil and the attacks run the CSR oracle.
 	Problem = core.Problem
 	// Result is a computed attack plan.
 	Result = core.Result

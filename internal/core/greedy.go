@@ -30,14 +30,15 @@ func greedyEdge(ctx context.Context, p Problem, opts Options) (Result, error) {
 // greedyEig implements the paper's GreedyEig baseline: like GreedyEdge, but
 // the cut edge is the one on the current shortest path with the highest
 // eigenvector-centrality score to removal-cost ratio. Scores default to a
-// single computation on the intact graph (PATHATTACK's formulation);
-// Options.RecomputeEigen rescoring after every cut is available as an
-// ablation.
+// single computation on the intact graph (PATHATTACK's formulation), which
+// the graph memoizes and shares with its clones, so a city pays it once,
+// not once per attack; Options.RecomputeEigen rescoring after every cut is
+// available as an ablation.
 func greedyEig(ctx context.Context, p Problem, opts Options) (Result, error) {
-	scores := graph.EdgeEigenScores(p.G, graph.EigenOptions{})
+	scores := graph.SharedEdgeEigenScores(p.G)
 	return naiveCutLoop(ctx, p, opts, func(viol graph.Path, pstarSet map[graph.EdgeID]struct{}) graph.EdgeID {
 		if opts.RecomputeEigen {
-			scores = graph.EdgeEigenScores(p.G, graph.EigenOptions{})
+			scores = graph.SharedEdgeEigenScores(p.G)
 		}
 		best := graph.InvalidEdge
 		bestRatio := 0.0

@@ -1,6 +1,9 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // EigenDirection selects which adjacency direction eigenvector centrality
 // propagates along.
@@ -108,4 +111,42 @@ func EdgeEigenScores(g *Graph, opts EigenOptions) []float64 {
 		scores[e] = out[arc.From] * in[arc.To]
 	}
 	return scores
+}
+
+// SharedEdgeEigenScores returns the scores EdgeEigenScores(g,
+// EigenOptions{}) would. In g's base state, where every disabled edge is
+// a permanently removed one, they are computed once and the same
+// read-only slice goes to g and every clone at the same topology and lock
+// state; callers must not modify it. Scores depend on topology only, not
+// weights, so the memo outlives weight changes. In any other state the
+// scores are computed fresh, exactly as EdgeEigenScores does, and the memo
+// is neither read nor written.
+func SharedEdgeEigenScores(g *Graph) []float64 {
+	if g.nDown != g.nLocked {
+		return EdgeEigenScores(g, EigenOptions{})
+	}
+	m := g.eigenMemo()
+	m.once.Do(func() { m.scores = EdgeEigenScores(g, EigenOptions{}) })
+	return m.scores
+}
+
+// eigenMemo holds one base-state EdgeEigenScores result, filled on first
+// use. Every graph pointing at it has the same arcs, node count and locked
+// set, so whichever of them fills it computes the same bits.
+type eigenMemo struct {
+	once   sync.Once
+	scores []float64
+}
+
+// eigenMemo returns g's memo, installing an empty one on first use.
+// Concurrent callers (clones cut from one master) agree on one memo.
+func (g *Graph) eigenMemo() *eigenMemo {
+	if m := g.eig.Load(); m != nil {
+		return m
+	}
+	m := &eigenMemo{}
+	if g.eig.CompareAndSwap(nil, m) {
+		return m
+	}
+	return g.eig.Load()
 }

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // NodeID identifies a node (road intersection).
@@ -60,6 +61,10 @@ type Graph struct {
 	disabled []bool
 	locked   []bool
 	nDown    int
+	// nLocked counts permanently removed edges. A locked edge is always
+	// disabled, so nDown == nLocked exactly when the graph is in its base
+	// state: no edge is down except the permanently removed ones.
+	nLocked int
 
 	// gen counts topology mutations (nodes or edges added). Frozen CSR
 	// snapshots record the generation they were built at and refuse to
@@ -68,6 +73,13 @@ type Graph struct {
 	// observe the disabled flags live, which is what lets attack rounds
 	// toggle edges thousands of times without a rebuild.
 	gen uint64
+
+	// eig points at the base-state eigenscore memo this graph shares with
+	// its clones (see SharedEdgeEigenScores). Topology and lock changes
+	// store nil here, which detaches only this graph and allocates
+	// nothing; the memo itself is never cleared, so a master and its
+	// clones never invalidate each other's. The next use installs a new one.
+	eig atomic.Pointer[eigenMemo]
 }
 
 // New returns a graph with n nodes and no edges.
@@ -87,6 +99,7 @@ func (g *Graph) Grow(n int) {
 		g.in = append(g.in, nil)
 	}
 	g.gen++
+	g.eig.Store(nil)
 }
 
 // AddNode adds a node and returns its ID.
@@ -94,6 +107,7 @@ func (g *Graph) AddNode() NodeID {
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
 	g.gen++
+	g.eig.Store(nil)
 	return NodeID(len(g.out) - 1)
 }
 
@@ -115,6 +129,7 @@ func (g *Graph) AddEdge(from, to NodeID) (EdgeID, error) {
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
 	g.gen++
+	g.eig.Store(nil)
 	return id, nil
 }
 
@@ -203,11 +218,13 @@ func (g *Graph) EnableEdge(e EdgeID) {
 // splits an edge to attach a point of interest: the original unsplit edge
 // must never resurface mid-experiment.
 func (g *Graph) RemoveEdgePermanently(e EdgeID) {
-	if !g.validEdge(e) {
+	if !g.validEdge(e) || g.locked[e] {
 		return
 	}
 	g.DisableEdge(e)
 	g.locked[e] = true
+	g.nLocked++
+	g.eig.Store(nil)
 }
 
 // EdgeRemoved reports whether e was permanently removed.
@@ -254,7 +271,7 @@ type Transaction struct {
 	disabled []EdgeID
 }
 
-// Begin starns a transaction on g.
+// Begin starts a transaction on g.
 func (g *Graph) Begin() *Transaction { return &Transaction{g: g} }
 
 // Disable disables e and records it for rollback. Edges already disabled
@@ -282,7 +299,9 @@ func (t *Transaction) Rollback() {
 	t.disabled = t.disabled[:0]
 }
 
-// Clone returns a deep copy of the graph, including disabled state.
+// Clone returns a deep copy of the graph, including disabled state. The
+// clone shares g's base-state eigenscore memo until either graph's
+// topology or lock state changes.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		arcs:     append([]Arc(nil), g.arcs...),
@@ -291,12 +310,14 @@ func (g *Graph) Clone() *Graph {
 		disabled: append([]bool(nil), g.disabled...),
 		locked:   append([]bool(nil), g.locked...),
 		nDown:    g.nDown,
+		nLocked:  g.nLocked,
 		gen:      g.gen,
 	}
 	for i := range g.out {
 		c.out[i] = append([]EdgeID(nil), g.out[i]...)
 		c.in[i] = append([]EdgeID(nil), g.in[i]...)
 	}
+	c.eig.Store(g.eigenMemo())
 	return c
 }
 
