@@ -361,51 +361,10 @@ func BenchmarkAblationPathRank(b *testing.B) {
 // Micro-benchmarks for the underlying graph machinery on a city-scale
 // graph, so substrate regressions are visible independently of the
 // attack-level numbers.
-func BenchmarkDijkstraCity(b *testing.B) {
-	net := benchNetwork(b, citygen.Chicago)
-	w := net.Weight(roadnet.WeightTime)
-	r := altroute.NewRouter(net.Graph())
-	n := net.NumIntersections()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := altroute.NodeID(i % n)
-		dst := altroute.NodeID((i*7 + n/2) % n)
-		r.ShortestPath(src, dst, w)
-	}
-}
 
-func BenchmarkYenK100City(b *testing.B) {
-	net := benchNetwork(b, citygen.Chicago)
-	w := net.Weight(roadnet.WeightTime)
-	r := altroute.NewRouter(net.Graph())
-	h := net.POIsOfKind(citygen.KindHospital)[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.KShortest(altroute.NodeID(i%net.NumIntersections()), h.Node, 100, w)
-	}
-}
-
-// BenchmarkYenK200City is the Table X workload generator at the paper's
-// doubled rank (200): the deepest k-shortest query the experiments issue,
-// on the Chicago-like lattice preset.
-func BenchmarkYenK200City(b *testing.B) {
-	net := benchNetwork(b, citygen.Chicago)
-	w := net.Weight(roadnet.WeightTime)
-	r := altroute.NewRouter(net.Graph())
-	h := net.POIsOfKind(citygen.KindHospital)[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.KShortest(altroute.NodeID(i%net.NumIntersections()), h.Node, 200, w)
-	}
-}
-
-// BenchmarkDijkstraCSR is BenchmarkDijkstraCity with a frozen CSR snapshot
-// attached to the router: the live-vs-frozen pair for the point-to-point
-// kernel. Results are bit-identical (see csr_differential_test.go); only
-// the memory layout differs.
+// BenchmarkDijkstraCSR measures point-to-point Dijkstra on Chicago with
+// the network's frozen CSR snapshot attached to the router, as every
+// repeated-query caller runs it.
 func BenchmarkDijkstraCSR(b *testing.B) {
 	net := benchNetwork(b, citygen.Chicago)
 	w := net.Weight(roadnet.WeightTime)
@@ -421,9 +380,11 @@ func BenchmarkDijkstraCSR(b *testing.B) {
 	}
 }
 
-// BenchmarkYenK200CSR is BenchmarkYenK200City on a frozen snapshot: every
-// spur query runs the flat-array kernel with the router's per-query edge
-// bans overlaid on the shared immutable arrays.
+// BenchmarkYenK200CSR is the Table X workload generator at the paper's
+// doubled rank (200), the deepest k-shortest query the experiments issue,
+// on the Chicago-like lattice preset with the network's snapshot attached:
+// every spur query runs the flat-array kernel with the router's per-query
+// edge bans overlaid on the shared immutable arrays.
 func BenchmarkYenK200CSR(b *testing.B) {
 	net := benchNetwork(b, citygen.Chicago)
 	w := net.Weight(roadnet.WeightTime)
@@ -437,13 +398,12 @@ func BenchmarkYenK200CSR(b *testing.B) {
 	}
 }
 
-// BenchmarkBetweennessParallel compares the serial Brandes sweep with the
-// snapshot-parallel one on the BenchmarkEdgeBetweennessSampled workload
-// (same sampled sources; scores are bitwise identical across worker counts).
+// BenchmarkBetweennessParallel measures the snapshot-parallel Brandes
+// sweep on the BenchmarkEdgeBetweennessSampled workload (same sampled
+// sources; scores are bitwise identical across worker counts).
 func BenchmarkBetweennessParallel(b *testing.B) {
 	net := benchNetwork(b, citygen.SanFrancisco)
 	g := net.Graph()
-	w := net.Weight(roadnet.WeightTime)
 	opts := graph.BetweennessOptions{Normalize: true}
 	step := g.NumNodes() / 60
 	if step < 1 {
@@ -452,12 +412,6 @@ func BenchmarkBetweennessParallel(b *testing.B) {
 	for s := 0; s < g.NumNodes() && len(opts.Sources) < 60; s += step {
 		opts.Sources = append(opts.Sources, graph.NodeID(s))
 	}
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			graph.EdgeBetweenness(g, w, opts)
-		}
-	})
 	b.Run("parallel", func(b *testing.B) {
 		snap := net.Snapshot(roadnet.WeightTime)
 		b.ReportAllocs()
@@ -562,22 +516,6 @@ func BenchmarkEdgeBetweennessSampled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		altroute.CriticalRoads(net, w, 10, 60)
-	}
-}
-
-// BenchmarkDijkstraBidirectionalCity measures the bidirectional variant on
-// the same workload as BenchmarkDijkstraCity (the speedup ablation).
-func BenchmarkDijkstraBidirectionalCity(b *testing.B) {
-	net := benchNetwork(b, citygen.Chicago)
-	w := net.Weight(roadnet.WeightTime)
-	r := altroute.NewRouter(net.Graph())
-	n := net.NumIntersections()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := altroute.NodeID(i % n)
-		dst := altroute.NodeID((i*7 + n/2) % n)
-		r.ShortestPathBidirectional(src, dst, w)
 	}
 }
 

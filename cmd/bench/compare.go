@@ -25,7 +25,9 @@ type CompareRow struct {
 }
 
 // LatestResults reads a BENCH_*.json snapshot array and returns the most
-// recent Result per benchmark name (later snapshots win).
+// recent Result per benchmark name (later snapshots win). Within one
+// snapshot, repeated lines of a benchmark (a `-count N` run) count as one
+// Result holding their medians (see FoldRepeats).
 func LatestResults(path string) (map[string]Result, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -37,11 +39,71 @@ func LatestResults(path string) (map[string]Result, error) {
 	}
 	latest := make(map[string]Result)
 	for _, s := range snaps {
-		for _, r := range s.Results {
+		for _, r := range FoldRepeats(s.Results) {
 			latest[r.Name] = r
 		}
 	}
 	return latest, nil
+}
+
+// FoldRepeats merges the results that share a name — the N lines of a
+// `go test -count N` run — into one Result per name, in first-seen order.
+// The merged Result holds the median ns/op, B/op, allocs/op and custom
+// metrics of the repeats, the summed iterations, and Runs = N, so one
+// noisy run can no longer decide a comparison.
+func FoldRepeats(results []Result) []Result {
+	groups := make(map[string][]Result, len(results))
+	var order []string
+	for _, r := range results {
+		if _, ok := groups[r.Name]; !ok {
+			order = append(order, r.Name)
+		}
+		groups[r.Name] = append(groups[r.Name], r)
+	}
+	folded := make([]Result, 0, len(order))
+	for _, name := range order {
+		rs := groups[name]
+		if len(rs) == 1 {
+			folded = append(folded, rs[0])
+			continue
+		}
+		m := Result{Name: name, Runs: len(rs)}
+		pick := func(field func(Result) float64) float64 {
+			xs := make([]float64, len(rs))
+			for i, r := range rs {
+				xs[i] = field(r)
+			}
+			return median(xs)
+		}
+		m.NsPerOp = pick(func(r Result) float64 { return r.NsPerOp })
+		m.BytesPerOp = pick(func(r Result) float64 { return r.BytesPerOp })
+		m.AllocsPerOp = pick(func(r Result) float64 { return r.AllocsPerOp })
+		for _, r := range rs {
+			m.Iterations += r.Iterations
+			for k := range r.Metrics {
+				if _, done := m.Metrics[k]; done {
+					continue
+				}
+				if m.Metrics == nil {
+					m.Metrics = map[string]float64{}
+				}
+				m.Metrics[k] = pick(func(r Result) float64 { return r.Metrics[k] })
+			}
+		}
+		folded = append(folded, m)
+	}
+	return folded
+}
+
+// median returns the middle value of xs (the mean of the two middle
+// values for an even count). xs is sorted in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // CompareResults diffs two latest-result maps. thresholdPct is the ns/op

@@ -121,3 +121,43 @@ func TestRunCompareOKWithinThreshold(t *testing.T) {
 		t.Fatalf("within-threshold compare failed: %v\n%s", err, out.String())
 	}
 }
+
+// TestFoldRepeatsTakesMedian: the N lines of a -count N run become one
+// Result with the median ns/op and allocs/op, so a single outlier run —
+// here the 900 ns one — cannot move the comparison.
+func TestFoldRepeatsTakesMedian(t *testing.T) {
+	raw := `BenchmarkHot-2   	     100	       100 ns/op	      16 B/op	       3 allocs/op
+BenchmarkCold-2  	       5	      5000 ns/op
+BenchmarkHot-2   	     100	       900 ns/op	      16 B/op	       9 allocs/op
+BenchmarkHot-2   	     100	       120 ns/op	      16 B/op	       4 allocs/op
+`
+	parsed, _ := ParseBenchOutput(raw)
+	folded := FoldRepeats(parsed)
+	if len(folded) != 2 || folded[0].Name != "BenchmarkHot-2" || folded[1].Name != "BenchmarkCold-2" {
+		t.Fatalf("folded = %+v, want Hot then Cold", folded)
+	}
+	hot := folded[0]
+	if hot.NsPerOp != 120 || hot.AllocsPerOp != 4 || hot.BytesPerOp != 16 {
+		t.Errorf("Hot medians ns/allocs/B = %v/%v/%v, want 120/4/16", hot.NsPerOp, hot.AllocsPerOp, hot.BytesPerOp)
+	}
+	if hot.Runs != 3 || hot.Iterations != 300 {
+		t.Errorf("Hot runs/iterations = %d/%d, want 3/300", hot.Runs, hot.Iterations)
+	}
+	if folded[1].NsPerOp != 5000 || folded[1].Runs != 0 {
+		t.Errorf("single-run Cold changed: %+v", folded[1])
+	}
+
+	// LatestResults folds repeats stored unfolded in one snapshot too.
+	dir := t.TempDir()
+	path := writeSnaps(t, dir, "counted.json", []Snapshot{{Results: parsed}})
+	latest, err := LatestResults(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := latest["BenchmarkHot-2"].NsPerOp; got != 120 {
+		t.Errorf("LatestResults Hot ns/op = %v, want the median 120", got)
+	}
+	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
+		t.Errorf("even-count median = %v, want 2.5", got)
+	}
+}

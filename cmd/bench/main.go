@@ -12,7 +12,8 @@
 // -compare diffs the latest result per benchmark between two snapshot
 // files (ns/op and allocs/op deltas) and exits nonzero when any ns/op
 // regression exceeds -threshold percent (default 15), so CI can gate or
-// warn on committed baselines.
+// warn on committed baselines. With -count N the N lines go test prints
+// per benchmark are stored as one result holding their medians.
 //
 // Each invocation appends one snapshot (an entry in the file's JSON array)
 // recording go/test environment, the benchmark filter, and per-benchmark
@@ -63,6 +64,9 @@ type Result struct {
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	// Metrics holds any custom b.ReportMetric values (ANER, ACRE, ...).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Runs is the number of `-count` repeats folded into this Result
+	// (medians, see FoldRepeats); 0 for a single run.
+	Runs int `json:"runs,omitempty"`
 }
 
 func main() {
@@ -106,6 +110,7 @@ func run(args []string, stdout *os.File) error {
 	}
 
 	results, cpu := ParseBenchOutput(string(raw))
+	results = FoldRepeats(results)
 	if len(results) == 0 {
 		return fmt.Errorf("no benchmark results matched %q", *bench)
 	}

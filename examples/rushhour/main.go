@@ -60,6 +60,7 @@ func main() {
 	// Verify every flow is forced.
 	altroute.Apply(g, res.Removed)
 	r := altroute.NewRouter(g)
+	r.UseSnapshot(net.Snapshot(altroute.WeightTime)) // one freeze for every query below
 	forced := 0
 	for _, v := range victims {
 		if p, ok := r.ShortestPath(v.Source, v.Dest, w); ok && p.SameEdges(v.PStar) {

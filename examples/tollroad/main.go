@@ -100,6 +100,7 @@ func main() {
 	paying := 0
 	altroute.Apply(g, res.Removed)
 	r := altroute.NewRouter(g)
+	r.UseSnapshot(net.Snapshot(altroute.WeightTime)) // one freeze for every query below
 	for range fleet {
 		p, _ := r.ShortestPath(source, dest, w)
 		if p.HasEdge(toll) {

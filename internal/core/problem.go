@@ -91,7 +91,7 @@ type Problem struct {
 	// the same network repeatedly (the experiment harness, the server's
 	// pooled networks) pass their cached snapshot here; when nil (or frozen
 	// from a different graph) the algorithms freeze one per run. Either
-	// way results are bit-identical to the live kernels.
+	// way results are identical: the snapshot only saves the freeze.
 	Snapshot *graph.Snapshot
 	// Potential optionally carries a cached reverse potential for Dest
 	// under Weight (graph.ReversePotential), computed on a graph state

@@ -17,8 +17,9 @@ import (
 // ordered contribution list — exactly the (edge, credit) sequence the
 // serial dependency pass would apply — and the coordinator replays the
 // lists strictly in source index order. Every float lands on the score
-// array in the same order as in EdgeBetweennessCtx, so the result is
-// bitwise identical to the serial implementation for ANY worker count.
+// array in the same order as in a serial Brandes sweep (the test-only
+// EdgeBetweennessCtx reference), so the result is bitwise identical to it
+// for ANY worker count.
 // A bounded claim window keeps the in-flight buffers (and their memory)
 // proportional to the worker count even when one source tree is slow.
 
@@ -53,8 +54,8 @@ func newBrandesScratch(n int) *brandesScratch {
 
 // brandesSource runs one Brandes source tree on the frozen snapshot and
 // returns the score contributions in exactly the order the serial
-// dependency pass applies them. The float operations mirror
-// EdgeBetweennessCtx line by line: same relaxation order (edge insertion
+// dependency pass applies them. The float operations mirror the serial
+// reference line by line: same relaxation order (edge insertion
 // order per node), same heap order (heapLess), same tie test, same
 // credit formula — so replaying the returned list reproduces the serial
 // accumulation bit for bit.
@@ -98,7 +99,7 @@ func brandesSource(c *Snapshot, s NodeID, sc *brandesScratch) []brandesContrib {
 				sc.preds[v] = append(sc.preds[v][:0], e)
 				sc.h.push(heapItem{dist: nd, node: v})
 			// Exact-tie test on purpose: Brandes counts a path only on an
-			// exact distance tie, mirroring EdgeBetweennessCtx bit for bit.
+			// exact distance tie, mirroring the serial reference bit for bit.
 			case nd == sc.dist[v] && !sc.settled[v]:
 				sc.sigma[v] += sc.sigma[u]
 				sc.preds[v] = append(sc.preds[v], e)
@@ -125,17 +126,23 @@ func brandesSource(c *Snapshot, s NodeID, sc *brandesScratch) []brandesContrib {
 	return out
 }
 
-// BetweennessParallel computes the same scores as EdgeBetweennessCtx —
-// bitwise identical, for any worker count — on a frozen snapshot, with
-// source trees fanned out across workers and their contributions merged
-// strictly in source index order (see the package comment above for why
-// that ordering is the whole trick). workers <= 0 means GOMAXPROCS. A
-// stale snapshot is refreshed first.
+// BetweennessParallel computes weighted directed edge betweenness
+// centrality with Brandes' algorithm on a frozen snapshot: for each edge,
+// the (optionally normalized) count of shortest paths between ordered
+// node pairs that traverse it, with fractional credit when several
+// shortest paths tie. Disabled edges score 0 and are not traversed. The
+// paper (§II-A) uses high edge betweenness to identify critical,
+// highly-traveled roads an attacker would target.
 //
-// Cancellation matches the serial contract: the context is polled per
-// source tree, and on cancellation the scores accumulated for the merged
-// source prefix are returned, unnormalized, alongside the context error —
-// diagnostic only.
+// Source trees fan out across workers and their contributions merge
+// strictly in source index order (see the comment at the top of this
+// file for why that ordering is the whole trick), so the scores are
+// bitwise identical to a serial sweep for any worker count. workers <= 0
+// means GOMAXPROCS. A stale snapshot is refreshed first.
+//
+// Cancellation: the context is polled once per source tree, and on
+// cancellation the scores accumulated for the merged source prefix are
+// returned, unnormalized, alongside the context error — diagnostic only.
 func BetweennessParallel(ctx context.Context, snap *Snapshot, opts BetweennessOptions, workers int) ([]float64, error) {
 	snap = snap.Refresh()
 	n, m := snap.n, snap.m
@@ -248,9 +255,9 @@ func BetweennessParallel(ctx context.Context, snap *Snapshot, opts BetweennessOp
 	return score, nil
 }
 
-// normalizeBetweenness applies the EdgeBetweennessCtx normalization: the
-// sample is scaled up to the full source population, then divided by the
-// number of ordered node pairs.
+// normalizeBetweenness applies the BetweennessOptions.Normalize scaling:
+// the sample is scaled up to the full source population, then divided by
+// the number of ordered node pairs.
 func normalizeBetweenness(score []float64, n, nSources int, opts BetweennessOptions) {
 	if !opts.Normalize || n <= 1 {
 		return

@@ -5,25 +5,26 @@ import (
 	"time"
 )
 
-// This file is the frozen-snapshot query layer: an immutable CSR
-// (compressed sparse row) image of the graph with materialized edge
-// weights, plus ports of every hot search kernel onto it. The live
-// representation (slice-of-slices adjacency + WeightFunc closure) costs
-// two dependent loads and a dynamic call per edge relaxation; the frozen
-// layout replaces them with four sequential array reads. Outputs are
-// bit-identical to the live kernels — same relaxation order (per-node
-// edge insertion order), same float operations in the same order, and a
-// totally-ordered heap so pop order cannot depend on heap shape (see
-// heapLess).
+// This file is the package's search layer: an immutable CSR (compressed
+// sparse row) image of the graph with materialized edge weights, and the
+// only shortest-path kernels the package has. Every Router query runs on
+// a snapshot — the attached one, or a one-call freeze of the graph under
+// the query's WeightFunc — so a relaxation costs four sequential array
+// reads instead of two dependent loads and a closure call on the
+// adjacency lists. Outputs are bit-identical to the textbook Dijkstra and
+// A* kept as a test-only reference (reference_test.go): same relaxation
+// order (per-node edge insertion order), same float operations in the
+// same order, and a totally-ordered heap so pop order cannot depend on
+// heap shape (see heapLess).
 //
 // Lifecycle: Freeze captures topology and weights at one instant, stamped
 // with the graph's generation counter. Adding nodes or edges bumps the
 // generation and invalidates the snapshot; the Router transparently
-// rebuilds it (same weight function) on the next query. Disabling and
-// enabling edges does NOT invalidate anything: the snapshot aliases the
-// graph's disabled flags, so attack rounds toggling edges — and Yen spur
-// bans, which live in per-router epoch-stamped overlay arrays — work
-// against a frozen snapshot with zero rebuilds.
+// rebuilds an attached one (same weight function) on the next query.
+// Disabling and enabling edges does NOT invalidate anything: the snapshot
+// aliases the graph's disabled flags, so attack rounds toggling edges —
+// and Yen spur bans, which live in per-router epoch-stamped overlay
+// arrays — work against a frozen snapshot with zero rebuilds.
 
 // Snapshot is an immutable flat CSR image of a Graph under one weight
 // function. It is safe for any number of concurrent readers (the parallel
@@ -39,8 +40,8 @@ type Snapshot struct {
 	m int // edges at freeze time
 
 	// Forward adjacency: slots fwdOff[u]..fwdOff[u+1] hold u's out-edges
-	// in edge insertion order (the live relaxation order), with the head
-	// node, edge ID, and weight materialized per slot.
+	// in edge insertion order (the relaxation order), with the head node,
+	// edge ID, and weight materialized per slot.
 	fwdOff  []int32
 	fwdTo   []int32
 	fwdEdge []int32
@@ -69,11 +70,9 @@ type Snapshot struct {
 
 // fillCSRSide flattens one direction's adjacency lists into CSR arrays.
 // Freeze calls it twice (forward over out-lists with arc heads, reverse
-// over in-lists with arc tails); it is the single copy of the build loop
-// both Snapshot.Refresh and the registry shard preload previously
-// duplicated through Freeze's twin inline loops. Slot order within a node
-// is list order — the live kernels' relaxation order — which is what
-// keeps frozen outputs bit-identical.
+// over in-lists with arc tails). Slot order within a node is list order —
+// edge insertion order — which is what keeps kernel outputs bit-identical
+// to the reference Dijkstra over the adjacency lists.
 func fillCSRSide(lists [][]EdgeID, w []float64, off, node, edge []int32, slotW []float64, endpoint func(Arc) NodeID, arcs []Arc) {
 	pos := 0
 	for u := range lists {
@@ -181,27 +180,60 @@ func (c *Snapshot) Refresh() *Snapshot {
 	return Freeze(c.g, c.wf)
 }
 
-// UseSnapshot attaches a frozen snapshot to the router: subsequent
-// queries run on the frozen CSR kernels instead of the live adjacency.
-// The snapshot must have been frozen from this router's graph under the
-// SAME weight function the caller passes to the query methods — with a
-// snapshot attached the materialized weights win, so passing a different
-// WeightFunc is a programming error the router cannot detect. A stale
-// snapshot (topology changed) is rebuilt transparently on the next
-// query. UseSnapshot(nil) detaches and restores the live kernels.
+// Reweight re-reads the weights of the given edges from the snapshot's
+// weight function and patches every array that materializes them: the
+// per-edge table and the edge's forward and reverse slots. It serves
+// callers whose weight function changes on a few known edges between
+// queries — incremental traffic assignment re-reads the edges of each
+// path it loads — at O(degree) per edge instead of an O(V+E) re-freeze.
+//
+// Reweight breaks the snapshot's immutability, so it is only for a
+// snapshot the caller owns alone: one it froze itself and never shared
+// with another router, goroutine, or cache (never a Network.Snapshot or
+// registry snapshot).
+func (c *Snapshot) Reweight(edges []EdgeID) { //lint:allow ctxflow O(len(edges) x degree) patch with no search; too short to need a cancellation point
+	for _, e := range edges {
+		x := c.wf(e)
+		c.w[e] = x
+		a := c.g.arcs[e]
+		for i, end := c.fwdOff[a.From], c.fwdOff[a.From+1]; i < end; i++ {
+			if EdgeID(c.fwdEdge[i]) == e {
+				c.fwdW[i] = x
+				break
+			}
+		}
+		for i, end := c.revOff[a.To], c.revOff[a.To+1]; i < end; i++ {
+			if EdgeID(c.revEdge[i]) == e {
+				c.revW[i] = x
+				break
+			}
+		}
+	}
+}
+
+// UseSnapshot attaches a frozen snapshot to the router, so queries reuse
+// it instead of freezing the graph per call. The snapshot must have been
+// frozen from this router's graph under the SAME weight function the
+// caller passes to the query methods — with a snapshot attached the
+// materialized weights win, so passing a different WeightFunc is a
+// programming error the router cannot detect. A stale snapshot (topology
+// changed) is rebuilt transparently on the next query. UseSnapshot(nil)
+// detaches; so does attaching a snapshot of another graph, which the
+// router ignores.
 func (r *Router) UseSnapshot(c *Snapshot) { r.snap = c }
 
 // Snapshot returns the attached snapshot, nil when none.
 func (r *Router) Snapshot() *Snapshot { return r.snap }
 
-// csr returns the snapshot the current query should run on: the attached
-// one, rebuilt first if topology moved on, or nil when no snapshot is
-// attached (or it belongs to another graph) — in which case the caller
-// falls through to the live kernels.
-func (r *Router) csr() *Snapshot {
+// csr returns the snapshot a public query runs on: the attached one,
+// re-frozen first if topology moved on, or — when none is attached or it
+// belongs to another graph — a fresh freeze of the graph under w that
+// lives only for this call. A query that fans out (the Yen spur workers)
+// shares that one snapshot; nothing freezes per spur search.
+func (r *Router) csr(w WeightFunc) *Snapshot {
 	c := r.snap
 	if c == nil || c.g != r.g {
-		return nil
+		return Freeze(r.g, w)
 	}
 	if !c.Valid() {
 		c = Freeze(r.g, c.wf)
@@ -210,11 +242,18 @@ func (r *Router) csr() *Snapshot {
 	return c
 }
 
+// heapItem is a (distance, node) pair in a search priority queue.
+type heapItem struct {
+	dist float64
+	node NodeID
+}
+
 // heapLess is the priority order of every search heap: distance, then
 // node ID. The node tie-break makes the order total, so ANY correct heap
-// — the live binary one, the frozen 4-ary one — pops the same value
-// sequence from the same push sequence, which is what makes frozen and
-// live kernels bit-identical on tied graphs (lattices tie constantly).
+// pops the same value sequence from the same push sequence. That is what
+// keeps the 4-ary kernels bit-identical on tied graphs (lattices tie
+// constantly) to the test reference, which runs on container/heap's
+// binary heap with the same order.
 func heapLess(a, b heapItem) bool {
 	if a.dist != b.dist { //lint:allow floateq heap order must be exact: near-ties are distinct priorities, equal bits fall through to the node tie-break
 		return a.dist < b.dist
@@ -222,8 +261,8 @@ func heapLess(a, b heapItem) bool {
 	return a.node < b.node
 }
 
-// heap4 is a 4-ary implicit min-heap over heapItem with the same total
-// order as the live binary heap. The wider fanout halves tree depth,
+// heap4 is a 4-ary implicit min-heap over heapItem in heapLess order.
+// The wider fanout (against a binary heap) halves tree depth,
 // which cuts sift-down comparisons on the pop-heavy Dijkstra workloads;
 // children of i sit at 4i+1..4i+4, cache-adjacent.
 type heap4 []heapItem
@@ -282,10 +321,10 @@ func (h *heap4) pop() heapItem {
 	return top
 }
 
-// shortestCSR is the frozen Dijkstra: the port of shortest onto the CSR
-// arrays. Bans and disabled edges are honoured exactly as live; no
-// closure is called anywhere in the loop.
-func (r *Router) shortestCSR(c *Snapshot, s, t NodeID) (Path, bool) {
+// shortest is the point-to-point Dijkstra from s to t on c, honouring
+// disabled edges and the router's current node/edge bans. No closure is
+// called anywhere in the loop. Callers must have called grow().
+func (r *Router) shortest(c *Snapshot, s, t NodeID) (Path, bool) {
 	if !r.g.validNode(s) || !r.g.validNode(t) {
 		return Path{}, false
 	}
@@ -293,13 +332,13 @@ func (r *Router) shortestCSR(c *Snapshot, s, t NodeID) (Path, bool) {
 		return Path{}, false
 	}
 	r.cur++
-	r.h4 = r.h4[:0]
+	r.heap = r.heap[:0]
 	r.setDist(s, 0, InvalidEdge)
-	r.h4.push(heapItem{dist: 0, node: s})
+	r.heap.push(heapItem{dist: 0, node: s})
 	disabled := c.disabled
 
-	for len(r.h4) > 0 {
-		it := r.h4.pop()
+	for len(r.heap) > 0 {
+		it := r.heap.pop()
 		// Early exit the moment t's distance is frontier-minimal: every
 		// remaining entry has dist >= it.dist >= dist[t], and non-negative
 		// weights mean no relaxation from such a node can strictly improve
@@ -326,18 +365,31 @@ func (r *Router) shortestCSR(c *Snapshot, s, t NodeID) (Path, bool) {
 			nd := du + c.fwdW[i]
 			if r.stamp[v] != r.cur || nd < r.dist[v] {
 				r.setDist(v, nd, e)
-				r.h4.push(heapItem{dist: nd, node: v})
+				r.heap.push(heapItem{dist: nd, node: v})
 			}
 		}
 	}
 	return Path{}, false
 }
 
-// shortestAStarCSR is the frozen Yen spur kernel: goal-directed A* under
-// a reverse potential, the port of shortestAStar. This is the hottest
-// loop in the repository — every Yen spur search across every attack
-// round lands here when a snapshot is attached.
-func (r *Router) shortestAStarCSR(c *Snapshot, s, t NodeID, pot *Potential, rootLen, cutoff float64) (Path, bool) {
+// shortestAStar is the Yen spur search: a goal-directed A* from s to t on
+// c guided by a reverse potential, honouring the current node/edge bans
+// and disabled edges. With an exact (hence consistent) potential every
+// settled node lies on a near-optimal corridor towards t, so the search
+// touches a small fraction of what the goal-blind Dijkstra would. This is
+// the hottest loop in the repository: every Yen spur search and every
+// exclusivity-oracle query of every attack round lands here.
+//
+// Nodes the target was unreachable from at potential-computation time
+// (h = +Inf) are pruned outright: bans only remove edges, so they cannot
+// reach t now either. Callers must have called grow().
+//
+// rootLen and cutoff implement Yen's candidate-count bound (see spurBound):
+// the search is abandoned — reported as "no path" — as soon as rootLen plus
+// the minimum frontier f-value exceeds cutoff, because the total candidate
+// length (rootLen + spur length) is then provably above the bound and the
+// candidate could never be accepted. cutoff == +Inf disables the pruning.
+func (r *Router) shortestAStar(c *Snapshot, s, t NodeID, pot *Potential, rootLen, cutoff float64) (Path, bool) {
 	if !r.g.validNode(s) || !r.g.validNode(t) {
 		return Path{}, false
 	}
@@ -350,13 +402,13 @@ func (r *Router) shortestAStarCSR(c *Snapshot, s, t NodeID, pot *Potential, root
 	}
 	potT := pot.At(t)
 	r.cur++
-	r.h4 = r.h4[:0]
+	r.heap = r.heap[:0]
 	r.setDist(s, 0, InvalidEdge)
-	r.h4.push(heapItem{dist: hs, node: s})
+	r.heap.push(heapItem{dist: hs, node: s})
 	disabled := c.disabled
 
-	for len(r.h4) > 0 {
-		it := r.h4.pop()
+	for len(r.heap) > 0 {
+		it := r.heap.pop()
 		// Early exit once t's f-value is frontier-minimal. The reverse
 		// potential is consistent (exact unbanned distances; bans only
 		// remove edges), so every remaining relaxation carries f >= it.dist
@@ -366,17 +418,17 @@ func (r *Router) shortestAStarCSR(c *Snapshot, s, t NodeID, pot *Potential, root
 		// dist[t]+potT recomputes exactly the float sum t's heap entry was
 		// pushed with, so the comparison fires on the same pop where the
 		// tie-broken heap would first surface an entry not before t's.
-		// The cutoff clause keeps the exit aligned with the live kernel's
-		// bound abort: an over-cutoff finish must report "no path", not a
-		// path the live kernel would have abandoned one pop earlier.
+		// The cutoff clause keeps the exit aligned with the bound abort
+		// below: an over-cutoff finish must report "no path", not a path
+		// the pop-t rule would have abandoned one pop earlier.
 		if r.stamp[t] == r.cur {
 			ft := r.dist[t] + potT
 			if ft <= it.dist && rootLen+ft <= cutoff {
 				return r.buildPath(s, t), true
 			}
 		}
-		// Bound abort, mirroring shortestAStar: pops are non-decreasing,
-		// so past the cutoff no completion can come back under it.
+		// Bound abort: pops are non-decreasing, so once the frontier passes
+		// the candidate cutoff no completion can come back under it.
 		if rootLen+it.dist > cutoff {
 			return Path{}, false
 		}
@@ -404,63 +456,15 @@ func (r *Router) shortestAStarCSR(c *Snapshot, s, t NodeID, pot *Potential, root
 			nd := gu + c.fwdW[i]
 			if r.stamp[v] != r.cur || nd < r.dist[v] {
 				r.setDist(v, nd, e)
-				r.h4.push(heapItem{dist: nd + hv, node: v})
+				r.heap.push(heapItem{dist: nd + hv, node: v})
 			}
 		}
 	}
 	return Path{}, false
 }
 
-// astarCSR is the frozen port of ShortestPathAStar (caller-supplied
-// heuristic; the heuristic closure is the one call the frozen kernel
-// cannot materialize).
-func (r *Router) astarCSR(c *Snapshot, s, t NodeID, h Heuristic) (Path, bool) {
-	if !r.g.validNode(s) || !r.g.validNode(t) {
-		return Path{}, false
-	}
-	if s == t {
-		return Path{Nodes: []NodeID{s}}, true
-	}
-	r.cur++
-	r.h4 = r.h4[:0]
-	r.setDist(s, 0, InvalidEdge)
-	r.h4.push(heapItem{dist: h(s), node: s})
-	disabled := c.disabled
-
-	for len(r.h4) > 0 {
-		if r.interrupted() {
-			return Path{}, false // cancelled mid-search (see SetContext)
-		}
-		it := r.h4.pop()
-		u := it.node
-		if r.stamp[u] != r.cur {
-			continue
-		}
-		gu := r.dist[u]
-		if it.dist > gu+h(u)+1e-12 {
-			continue // stale entry
-		}
-		if u == t {
-			return r.buildPath(s, t), true
-		}
-		for i, end := c.fwdOff[u], c.fwdOff[u+1]; i < end; i++ {
-			e := EdgeID(c.fwdEdge[i])
-			if disabled[e] {
-				continue
-			}
-			v := NodeID(c.fwdTo[i])
-			nd := gu + c.fwdW[i]
-			if r.stamp[v] != r.cur || nd < r.dist[v] {
-				r.setDist(v, nd, e)
-				r.h4.push(heapItem{dist: nd + h(v), node: v})
-			}
-		}
-	}
-	return Path{}, false
-}
-
-// distancesFromCSR is the frozen port of the DistancesFrom sweep.
-func (r *Router) distancesFromCSR(c *Snapshot, s NodeID) []float64 {
+// distancesFrom is the full single-source sweep behind DistancesFrom.
+func (r *Router) distancesFrom(c *Snapshot, s NodeID) []float64 {
 	n := r.g.NumNodes()
 	out := make([]float64, n)
 	for i := range out {
@@ -470,15 +474,15 @@ func (r *Router) distancesFromCSR(c *Snapshot, s NodeID) []float64 {
 		return out
 	}
 	r.cur++
-	r.h4 = r.h4[:0]
+	r.heap = r.heap[:0]
 	r.setDist(s, 0, InvalidEdge)
-	r.h4.push(heapItem{dist: 0, node: s})
+	r.heap.push(heapItem{dist: 0, node: s})
 	disabled := c.disabled
-	for len(r.h4) > 0 {
+	for len(r.heap) > 0 {
 		if r.interrupted() {
 			break // cancelled: unsettled nodes stay +Inf (see SetContext)
 		}
-		it := r.h4.pop()
+		it := r.heap.pop()
 		u := it.node
 		if it.dist > r.dist[u] || r.stamp[u] != r.cur {
 			continue
@@ -493,16 +497,18 @@ func (r *Router) distancesFromCSR(c *Snapshot, s NodeID) []float64 {
 			nd := it.dist + c.fwdW[i]
 			if r.stamp[v] != r.cur || nd < r.dist[v] {
 				r.setDist(v, nd, e)
-				r.h4.push(heapItem{dist: nd, node: v})
+				r.heap.push(heapItem{dist: nd, node: v})
 			}
 		}
 	}
 	return out
 }
 
-// reversePotentialCSR is the frozen port of ReversePotential: one full
-// reverse Dijkstra over the rev CSR arrays.
-func (r *Router) reversePotentialCSR(c *Snapshot, t NodeID) *Potential {
+// reversePotential is the full reverse Dijkstra behind ReversePotential:
+// one sweep from t over the rev CSR arrays, on the router's backward
+// scratch.
+func (r *Router) reversePotential(c *Snapshot, t NodeID) *Potential {
+	r.growBackward()
 	h := make([]float64, r.g.NumNodes())
 	for i := range h {
 		h[i] = math.Inf(1)
@@ -512,15 +518,15 @@ func (r *Router) reversePotentialCSR(c *Snapshot, t NodeID) *Potential {
 		return pot
 	}
 	r.curB++
-	r.h4B = r.h4B[:0]
-	r.setDistB(t, 0, InvalidEdge)
-	r.h4B.push(heapItem{dist: 0, node: t})
+	r.heapB = r.heapB[:0]
+	r.setDistB(t, 0)
+	r.heapB.push(heapItem{dist: 0, node: t})
 	disabled := c.disabled
-	for len(r.h4B) > 0 {
+	for len(r.heapB) > 0 {
 		if r.interrupted() {
 			break // cancelled: unsettled nodes stay +Inf (see SetContext)
 		}
-		it := r.h4B.pop()
+		it := r.heapB.pop()
 		u := it.node
 		if it.dist > r.distB[u] || r.stampB[u] != r.curB {
 			continue
@@ -534,147 +540,10 @@ func (r *Router) reversePotentialCSR(c *Snapshot, t NodeID) *Potential {
 			v := NodeID(c.revFrom[i])
 			nd := it.dist + c.revW[i]
 			if r.stampB[v] != r.curB || nd < r.distB[v] {
-				r.setDistB(v, nd, e)
-				r.h4B.push(heapItem{dist: nd, node: v})
+				r.setDistB(v, nd)
+				r.heapB.push(heapItem{dist: nd, node: v})
 			}
 		}
 	}
 	return pot
-}
-
-// bidirectionalCSR is the frozen port of ShortestPathBidirectional. The
-// settled sets use the router's epoch-stamped arrays instead of the live
-// kernel's per-query maps — membership semantics are identical, so
-// outputs are too, without the per-query map allocations.
-func (r *Router) bidirectionalCSR(c *Snapshot, s, t NodeID) (Path, bool) {
-	if !r.g.validNode(s) || !r.g.validNode(t) {
-		return Path{}, false
-	}
-	if s == t {
-		return Path{Nodes: []NodeID{s}}, true
-	}
-	r.cur++
-	r.curB++
-	fh := r.h4[:0]
-	bh := r.h4B[:0]
-
-	r.setDist(s, 0, InvalidEdge)
-	fh.push(heapItem{dist: 0, node: s})
-	r.setDistB(t, 0, InvalidEdge)
-	bh.push(heapItem{dist: 0, node: t})
-
-	best := math.Inf(1)
-	var meet NodeID = InvalidNode
-	disabled := c.disabled
-
-	topOf := func(h heap4) float64 {
-		if len(h) == 0 {
-			return math.Inf(1)
-		}
-		return h[0].dist
-	}
-
-	cancelled := false
-	for len(fh) > 0 || len(bh) > 0 {
-		if r.interrupted() {
-			cancelled = true // a found meet may be suboptimal: report no path
-			break
-		}
-		// Termination: no better meeting can exist.
-		if topOf(fh)+topOf(bh) >= best {
-			break
-		}
-		// Expand the smaller frontier.
-		forward := topOf(fh) <= topOf(bh)
-		if forward {
-			it := fh.pop()
-			u := it.node
-			if it.dist > r.dist[u] || r.stamp[u] != r.cur {
-				continue
-			}
-			if r.settledF[u] == r.cur {
-				continue
-			}
-			r.settledF[u] = r.cur
-			if r.stampB[u] == r.curB {
-				if d := it.dist + r.distB[u]; d < best {
-					best = d
-					meet = u
-				}
-			}
-			for i, end := c.fwdOff[u], c.fwdOff[u+1]; i < end; i++ {
-				e := EdgeID(c.fwdEdge[i])
-				if disabled[e] {
-					continue
-				}
-				v := NodeID(c.fwdTo[i])
-				nd := it.dist + c.fwdW[i]
-				if r.stamp[v] != r.cur || nd < r.dist[v] {
-					r.setDist(v, nd, e)
-					fh.push(heapItem{dist: nd, node: v})
-					if r.stampB[v] == r.curB {
-						if d := nd + r.distB[v]; d < best {
-							best = d
-							meet = v
-						}
-					}
-				}
-			}
-		} else {
-			it := bh.pop()
-			u := it.node
-			if it.dist > r.distB[u] || r.stampB[u] != r.curB {
-				continue
-			}
-			if r.settledB[u] == r.curB {
-				continue
-			}
-			r.settledB[u] = r.curB
-			if r.stamp[u] == r.cur {
-				if d := it.dist + r.dist[u]; d < best {
-					best = d
-					meet = u
-				}
-			}
-			for i, end := c.revOff[u], c.revOff[u+1]; i < end; i++ {
-				e := EdgeID(c.revEdge[i])
-				if disabled[e] {
-					continue
-				}
-				v := NodeID(c.revFrom[i])
-				nd := it.dist + c.revW[i]
-				if r.stampB[v] != r.curB || nd < r.distB[v] {
-					r.setDistB(v, nd, e)
-					bh.push(heapItem{dist: nd, node: v})
-					if r.stamp[v] == r.cur {
-						if d := nd + r.dist[v]; d < best {
-							best = d
-							meet = v
-						}
-					}
-				}
-			}
-		}
-	}
-	r.h4 = fh
-	r.h4B = bh
-
-	if cancelled || meet == InvalidNode {
-		return Path{}, false
-	}
-	// Assemble: forward half via prevEdge, backward half via prevEdgeB.
-	forward := r.buildPath(s, meet)
-	var tailEdges []EdgeID
-	for n := meet; n != t; {
-		e := r.prevEdgeB[n]
-		tailEdges = append(tailEdges, e)
-		n = r.g.arcs[e].To
-	}
-	nodes := forward.Nodes
-	edges := forward.Edges
-	for _, e := range tailEdges {
-		edges = append(edges, e)
-		nodes = append(nodes, r.g.arcs[e].To)
-	}
-	return Path{Nodes: nodes, Edges: edges, Length: best}, true
 }

@@ -7,13 +7,14 @@ import (
 	"testing/quick"
 )
 
-// Frozen-kernel differential tests: a router with a snapshot attached must
-// return BIT-IDENTICAL results to the live-graph kernels — same edges,
-// same nodes, same float length bits — on tie-free AND massively tied
-// graphs, with disabled-edge overlays, ban overlays, and mid-run
-// DisableEdge. The guarantee rests on the shared heapLess total order
-// (dist, then node): any correct heap pops the same value sequence, so
-// heap arity cannot show up in the output.
+// Kernel differential tests: a router — with a snapshot attached, or
+// freezing one per call — must return BIT-IDENTICAL results to the
+// test-only reference kernels (reference_test.go) — same edges, same
+// nodes, same float length bits — on tie-free AND massively tied graphs,
+// with disabled-edge overlays, ban overlays, and mid-run DisableEdge. The
+// guarantee rests on the shared (dist, then node) total heap order: any
+// correct heap pops the same value sequence, so heap arity cannot show up
+// in the output.
 
 // frozenRouter returns a router for g with a fresh snapshot attached.
 func frozenRouter(g *Graph, w WeightFunc) *Router {
@@ -68,9 +69,9 @@ func testGraphs(rng *rand.Rand) []struct {
 	}
 }
 
-// TestFrozenPointQueriesMatchLive checks every point-to-point kernel —
-// Dijkstra, avoiding-Dijkstra, A* (zero and potential heuristics),
-// bidirectional — plus the full-sweep tables against the live kernels.
+// TestFrozenPointQueriesMatchLive checks every point-to-point query —
+// Dijkstra and avoiding-Dijkstra — plus the full-sweep tables against the
+// reference kernels, on an attached snapshot and on a per-call freeze.
 func TestFrozenPointQueriesMatchLive(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 80}
 	prop := func(seed int64) bool {
@@ -79,57 +80,49 @@ func TestFrozenPointQueriesMatchLive(t *testing.T) {
 			n := tc.g.NumNodes()
 			s := NodeID(rng.Intn(n))
 			tgt := NodeID(rng.Intn(n))
-			live := NewRouter(tc.g)
-			froz := frozenRouter(tc.g, tc.w)
-
-			lp, lok := live.ShortestPath(s, tgt, tc.w)
-			fp, fok := froz.ShortestPath(s, tgt, tc.w)
-			if !samePath(fp, lp, fok, lok) {
-				t.Logf("seed %d %s: ShortestPath mismatch: %v/%v vs %v/%v", seed, tc.name, fp, fok, lp, lok)
-				return false
-			}
-
+			ref := newRefRouter(tc.g, tc.w)
 			var avoid []NodeID
 			for i := 0; i < rng.Intn(4); i++ {
 				avoid = append(avoid, NodeID(rng.Intn(n)))
 			}
-			lp, lok = live.ShortestPathAvoiding(s, tgt, tc.w, avoid)
-			fp, fok = froz.ShortestPathAvoiding(s, tgt, tc.w, avoid)
-			if !samePath(fp, lp, fok, lok) {
-				t.Logf("seed %d %s: ShortestPathAvoiding mismatch", seed, tc.name)
-				return false
-			}
-
-			lp, lok = live.ShortestPathBidirectional(s, tgt, tc.w)
-			fp, fok = froz.ShortestPathBidirectional(s, tgt, tc.w)
-			if !samePath(fp, lp, fok, lok) {
-				t.Logf("seed %d %s: ShortestPathBidirectional mismatch: %v/%v vs %v/%v", seed, tc.name, fp, fok, lp, lok)
-				return false
-			}
-
-			zero := func(NodeID) float64 { return 0 }
-			lp, lok = live.ShortestPathAStar(s, tgt, tc.w, zero)
-			fp, fok = froz.ShortestPathAStar(s, tgt, tc.w, zero)
-			if !samePath(fp, lp, fok, lok) {
-				t.Logf("seed %d %s: ShortestPathAStar mismatch", seed, tc.name)
-				return false
-			}
-
-			lpot := live.ReversePotential(tgt, tc.w)
-			fpot := froz.ReversePotential(tgt, tc.w)
-			for v := 0; v < n; v++ {
-				if lpot.At(NodeID(v)) != fpot.At(NodeID(v)) {
-					t.Logf("seed %d %s: ReversePotential differs at %d", seed, tc.name, v)
-					return false
+			refPot := ref.reversePotential(tgt)
+			refDist := ref.distancesFrom(s)
+			lp, lok := ref.shortest(s, tgt)
+			for _, v := range avoid {
+				if v != s && v != tgt {
+					ref.nodeBan[v] = true
 				}
 			}
+			ap, aok := ref.shortest(s, tgt)
 
-			ld := live.DistancesFrom(s, tc.w)
-			fd := froz.DistancesFrom(s, tc.w)
-			for v := range ld {
-				if ld[v] != fd[v] {
-					t.Logf("seed %d %s: DistancesFrom differs at %d: %v vs %v", seed, tc.name, v, fd[v], ld[v])
+			for _, mode := range []string{"attached", "per-call"} {
+				r := NewRouter(tc.g)
+				if mode == "attached" {
+					r = frozenRouter(tc.g, tc.w)
+				}
+				fp, fok := r.ShortestPath(s, tgt, tc.w)
+				if !samePath(fp, lp, fok, lok) {
+					t.Logf("seed %d %s %s: ShortestPath mismatch: %v/%v vs %v/%v", seed, tc.name, mode, fp, fok, lp, lok)
 					return false
+				}
+				fp, fok = r.ShortestPathAvoiding(s, tgt, tc.w, avoid)
+				if !samePath(fp, ap, fok, aok) {
+					t.Logf("seed %d %s %s: ShortestPathAvoiding mismatch", seed, tc.name, mode)
+					return false
+				}
+				fpot := r.ReversePotential(tgt, tc.w)
+				for v := 0; v < n; v++ {
+					if refPot.At(NodeID(v)) != fpot.At(NodeID(v)) {
+						t.Logf("seed %d %s %s: ReversePotential differs at %d", seed, tc.name, mode, v)
+						return false
+					}
+				}
+				fd := r.DistancesFrom(s, tc.w)
+				for v := range refDist {
+					if refDist[v] != fd[v] {
+						t.Logf("seed %d %s %s: DistancesFrom differs at %d: %v vs %v", seed, tc.name, mode, v, fd[v], refDist[v])
+						return false
+					}
 				}
 			}
 		}
@@ -141,10 +134,11 @@ func TestFrozenPointQueriesMatchLive(t *testing.T) {
 }
 
 // TestFrozenYenMatchesLive checks the full Yen engine — serial and with
-// the parallel spur fan-out forced on — path list bit-identical between
-// frozen and live, in both weight regimes (on ties, frozen and live must
-// still agree with each other exactly, even though the representative
-// choice vs other algorithms is free).
+// the parallel spur fan-out forced on, attached snapshot and per-call
+// freeze — path list bit-identical to refKShortest, the same engine over
+// the reference banned-spur A*, in both weight regimes (on ties the two
+// must still agree exactly, even though the representative choice vs
+// other algorithms is free).
 func TestFrozenYenMatchesLive(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60}
 	prop := func(seed int64) bool {
@@ -155,15 +149,19 @@ func TestFrozenYenMatchesLive(t *testing.T) {
 			tgt := NodeID(rng.Intn(n))
 			k := 1 + rng.Intn(20)
 
-			live := NewRouter(tc.g)
-			live.SetSpurWorkers(1)
-			want := live.KShortest(s, tgt, k, tc.w)
+			want := refKShortest(tc.g, tc.w, s, tgt, k, nil)
 
 			for _, workers := range []int{1, 3} {
 				froz := frozenRouter(tc.g, tc.w)
 				froz.SetSpurWorkers(workers)
 				if err := samePathList(froz.KShortest(s, tgt, k, tc.w), want); err != nil {
 					t.Logf("seed %d %s workers=%d: %v", seed, tc.name, workers, err)
+					return false
+				}
+				perCall := NewRouter(tc.g)
+				perCall.SetSpurWorkers(workers)
+				if err := samePathList(perCall.KShortest(s, tgt, k, tc.w), want); err != nil {
+					t.Logf("seed %d %s workers=%d per-call freeze: %v", seed, tc.name, workers, err)
 					return false
 				}
 			}
@@ -173,8 +171,7 @@ func TestFrozenYenMatchesLive(t *testing.T) {
 			// potential legitimately picks the tied representative, so the
 			// comparison must hold it fixed).
 			if len(want) > 0 {
-				liveRef := NewRouter(tc.g)
-				livePot := liveRef.ReversePotential(tgt, tc.w)
+				refPot := newRefRouter(tc.g, tc.w).reversePotential(tgt)
 				froz := frozenRouter(tc.g, tc.w)
 				frozPot := froz.ReversePotential(tgt, tc.w)
 				tx := tc.g.Begin()
@@ -183,7 +180,7 @@ func TestFrozenYenMatchesLive(t *testing.T) {
 						tx.Disable(EdgeID(e))
 					}
 				}
-				wantAlt, wantOK := liveRef.BestAlternativeWithPotential(s, tgt, tc.w, want[0], livePot)
+				wantAlt, wantOK := refBestAlternativeWithPotential(tc.g, tc.w, s, tgt, want[0], refPot)
 				gotAlt, gotOK := froz.BestAlternativeWithPotential(s, tgt, tc.w, want[0], frozPot)
 				tx.Rollback()
 				if !samePath(gotAlt, wantAlt, gotOK, wantOK) {
@@ -212,7 +209,7 @@ func TestFrozenDisableEdgeOverlay(t *testing.T) {
 
 		froz := frozenRouter(g, w)
 		snap := froz.Snapshot()
-		live := NewRouter(g)
+		ref := newRefRouter(g, w)
 
 		p, ok := froz.ShortestPath(s, tgt, w)
 		if !ok || len(p.Edges) == 0 {
@@ -222,7 +219,7 @@ func TestFrozenDisableEdgeOverlay(t *testing.T) {
 		// path, re-query, restore.
 		cut := p.Edges[rng.Intn(len(p.Edges))]
 		g.DisableEdge(cut)
-		lp, lok := live.ShortestPath(s, tgt, w)
+		lp, lok := ref.shortest(s, tgt)
 		fp, fok := froz.ShortestPath(s, tgt, w)
 		g.EnableEdge(cut)
 		if !samePath(fp, lp, fok, lok) {
@@ -272,6 +269,39 @@ func TestFrozenSnapshotInvalidation(t *testing.T) {
 	}
 	if r.Snapshot() == old || !r.Snapshot().Valid() {
 		t.Fatal("router did not rebuild the stale snapshot")
+	}
+}
+
+// TestUnattachedRouterFreezesPerCall: without an attached snapshot —
+// or with one frozen from another graph — every query freezes the graph
+// under its own WeightFunc and keeps nothing, so a weight change between
+// calls is seen by the next call, exactly as it would be by the
+// reference kernel that reads the WeightFunc per relaxation.
+func TestUnattachedRouterFreezesPerCall(t *testing.T) {
+	g, _ := diamond(1, 1, 5, 5)
+	weights := []float64{1, 1, 5, 5}
+	w := func(e EdgeID) float64 { return weights[e] }
+	for _, foreign := range []bool{false, true} {
+		weights[0] = 1
+		r := NewRouter(g)
+		if foreign {
+			other, ow := diamond(9, 9, 9, 9)
+			r.UseSnapshot(Freeze(other, ow))
+		}
+		if p, ok := r.ShortestPath(0, 3, w); !ok || p.Length != 2 {
+			t.Fatalf("foreign=%v: first query: %v %v", foreign, p, ok)
+		}
+		weights[0] = 100 // the upper branch now costs 101
+		p, ok := r.ShortestPath(0, 3, w)
+		if !ok || p.Length != 10 {
+			t.Fatalf("foreign=%v: query after weight change: %v %v, want the length-10 branch", foreign, p, ok)
+		}
+		if paths := r.KShortest(0, 3, 2, w); len(paths) != 2 || paths[0].Length != 10 || paths[1].Length != 101 {
+			t.Fatalf("foreign=%v: KShortest after weight change: %v", foreign, paths)
+		}
+		if !foreign && r.Snapshot() != nil {
+			t.Fatalf("a query kept its per-call snapshot attached")
+		}
 	}
 }
 
@@ -396,6 +426,38 @@ func TestFreezeWeightTable(t *testing.T) {
 	g.AddNode()
 	if snap.Refresh() == snap || snap.Valid() {
 		t.Fatal("Refresh did not rebuild a stale snapshot")
+	}
+}
+
+// TestSnapshotReweight: after the weight function changes on some edges,
+// Reweight of exactly those edges must leave every materialized array —
+// per-edge, forward slots, reverse slots — equal to a fresh freeze, and
+// leave the other edges alone.
+func TestSnapshotReweight(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 30; trial++ {
+		g, w0 := randomTieFreeGraph(rng)
+		weights := make([]float64, g.NumEdges())
+		for e := range weights {
+			weights[e] = w0(EdgeID(e))
+		}
+		w := func(e EdgeID) float64 { return weights[e] }
+		snap := Freeze(g, w)
+		var changed []EdgeID
+		for e := range weights {
+			if rng.Intn(3) == 0 {
+				weights[e] += 1 + rng.Float64()
+				changed = append(changed, EdgeID(e))
+			}
+		}
+		snap.Reweight(changed)
+		fresh := Freeze(g, w)
+		for i := range fresh.w {
+			if snap.w[i] != fresh.w[i] || snap.fwdW[i] != fresh.fwdW[i] || snap.revW[i] != fresh.revW[i] {
+				t.Fatalf("trial %d index %d: reweighted w/fwd/rev %v/%v/%v, fresh freeze %v/%v/%v", trial, i,
+					snap.w[i], snap.fwdW[i], snap.revW[i], fresh.w[i], fresh.fwdW[i], fresh.revW[i])
+			}
+		}
 	}
 }
 

@@ -13,16 +13,12 @@ import (
 
 // TestFrozenSharedSnapshotConcurrentRouters: many routers, one snapshot,
 // concurrent mixed queries (with per-router ban overlays in play) — no
-// races, and every goroutine sees the serial answer.
+// races, and every goroutine sees the reference kernel's answer.
 func TestFrozenSharedSnapshotConcurrentRouters(t *testing.T) {
 	g, w := gridGraph(6, 6)
 	snap := Freeze(g, w)
 
-	want, ok := func() (Path, bool) {
-		r := NewRouter(g)
-		r.UseSnapshot(snap)
-		return r.ShortestPath(0, 35, w)
-	}()
+	want, ok := newRefRouter(g, w).shortest(0, 35)
 	if !ok {
 		t.Fatal("grid corner unreachable")
 	}
@@ -42,10 +38,9 @@ func TestFrozenSharedSnapshotConcurrentRouters(t *testing.T) {
 					return
 				}
 				// Exercise the ban overlay: it must stay router-local.
-				if _, ok := r.ShortestPathAvoiding(0, 35, w, []NodeID{want.Nodes[1]}); ok {
-					r.ShortestPathBidirectional(0, 35, w)
-				}
+				r.ShortestPathAvoiding(0, 35, w, []NodeID{want.Nodes[1]})
 				r.ReversePotential(35, w)
+				r.KShortest(0, 35, 3, w)
 			}
 		}(i)
 	}
@@ -57,15 +52,11 @@ func TestFrozenSharedSnapshotConcurrentRouters(t *testing.T) {
 }
 
 // TestFrozenParallelYenRace: the spur fan-out shares the coordinator's
-// snapshot across pool routers; the path list must match the serial
-// frozen run exactly.
+// snapshot across pool routers; the path list must match the reference
+// engine exactly.
 func TestFrozenParallelYenRace(t *testing.T) {
 	g, w := gridGraph(5, 5)
-
-	serial := NewRouter(g)
-	serial.UseSnapshot(Freeze(g, w))
-	serial.SetSpurWorkers(1)
-	want := serial.KShortest(0, 24, 40, w)
+	want := refKShortest(g, w, 0, 24, 40, nil)
 
 	for i := 0; i < 4; i++ {
 		r := NewRouter(g)
@@ -78,8 +69,8 @@ func TestFrozenParallelYenRace(t *testing.T) {
 }
 
 // TestBetweennessParallelRace: full-graph parallel Brandes on a shared
-// snapshot, repeated, must be race-free and reproduce the serial scores
-// bit for bit every time.
+// snapshot, repeated, must be race-free and reproduce the serial reference
+// scores bit for bit every time.
 func TestBetweennessParallelRace(t *testing.T) {
 	g, w := gridGraph(6, 6)
 	snap := Freeze(g, w)
@@ -109,5 +100,38 @@ func TestBetweennessParallelRace(t *testing.T) {
 	close(errs)
 	for msg := range errs {
 		t.Error(msg)
+	}
+}
+
+// TestConcurrentRouters verifies the documented concurrency contract: one
+// Router per goroutine over a shared immutable graph is race-free (run
+// with -race), including the per-call freeze each unattached router makes.
+func TestConcurrentRouters(t *testing.T) {
+	g, w := gridGraph(10, 10)
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for k := 0; k < 8; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			r := NewRouter(g)
+			for i := 0; i < 50; i++ {
+				s := NodeID((i*k + 3) % 100)
+				d := NodeID((i + k*13) % 100)
+				if _, ok := r.ShortestPath(s, d, w); !ok {
+					errs <- "grid query failed"
+					return
+				}
+				if paths := r.KShortest(s, d, 2, w); len(paths) == 0 {
+					errs <- "grid k-shortest query failed"
+					return
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -8,40 +8,37 @@ import (
 // Router runs shortest-path queries against a graph. It owns reusable
 // per-node scratch arrays (epoch-stamped, so clearing between queries is
 // O(1)), which matters because the attack algorithms issue thousands of
-// Dijkstra queries per run. A Router is not safe for concurrent use; create
-// one per goroutine.
+// Dijkstra queries per run. Every query runs on a frozen CSR snapshot
+// (see csr.go): the attached one, or a freeze of the graph made for that
+// one call. A Router is not safe for concurrent use; create one per
+// goroutine.
 type Router struct {
 	g *Graph
 
+	// Forward search scratch.
 	dist     []float64
 	prevEdge []EdgeID
 	stamp    []uint64
 	cur      uint64
+	heap     heap4
 
-	distB     []float64
-	prevEdgeB []EdgeID
-	stampB    []uint64
-	curB      uint64
-	heapB     nodeHeap
+	// Backward scratch for the reverse-potential sweep.
+	distB  []float64
+	stampB []uint64
+	curB   uint64
+	heapB  heap4
 
 	nodeBan  []uint64
 	edgeBan  []uint64
 	banEpoch uint64
 
-	heap nodeHeap
+	// snap is the attached snapshot (UseSnapshot); nil means every query
+	// freezes the graph for itself.
+	snap *Snapshot
 
-	// Frozen-kernel state: the attached CSR snapshot (nil → live kernels),
-	// the 4-ary heaps the frozen kernels run on, and epoch-stamped settled
-	// sets for the frozen bidirectional search (the live one uses maps).
-	snap     *Snapshot
-	h4       heap4
-	h4B      heap4
-	settledF []uint64
-	settledB []uint64
-
-	// Yen spur fan-out: worker routers sharing the read-only graph. Bans
-	// and scratch arrays are per-router, so concurrent spur searches on
-	// distinct pool routers are race-free by construction.
+	// Yen spur fan-out: worker routers sharing the query's read-only
+	// snapshot. Bans and scratch arrays are per-router, so concurrent spur
+	// searches on distinct pool routers are race-free by construction.
 	spurWorkers int
 	spurPool    []*Router
 
@@ -50,9 +47,9 @@ type Router struct {
 	ctx context.Context
 }
 
-// NewRouter returns a Router for g. The router tracks g live: edges added,
-// disabled, or enabled after creation are observed by later queries (Grow is
-// called lazily).
+// NewRouter returns a Router for g. The router tracks g: edges added,
+// disabled, or enabled after creation are observed by later queries
+// (scratch grows lazily, snapshots are re-frozen when topology moved on).
 func NewRouter(g *Graph) *Router {
 	return &Router{g: g}
 }
@@ -80,9 +77,6 @@ func (r *Router) grow() {
 		ban := make([]uint64, n)
 		copy(ban, r.nodeBan)
 		r.nodeBan = ban
-		settled := make([]uint64, n)
-		copy(settled, r.settledF)
-		r.settledF = settled
 	}
 	m := r.g.NumEdges()
 	if len(r.edgeBan) < m {
@@ -106,17 +100,21 @@ func (r *Router) edgeBanned(e EdgeID) bool { return r.edgeBan[e] == r.banEpoch }
 // ShortestPath returns a minimum-weight path from s to t under w, or
 // ok == false if t is unreachable. If s == t the result is the trivial
 // zero-length path. Ties between equal-length paths are broken arbitrarily
-// but deterministically (by edge insertion order).
+// but deterministically (by edge insertion order). Under a cancelled
+// SetContext context it reports no path without searching; callers must
+// re-check the context before trusting a negative.
 func (r *Router) ShortestPath(s, t NodeID, w WeightFunc) (Path, bool) {
-	r.grow()
-	r.clearBans()
-	return r.shortest(s, t, w)
+	return r.ShortestPathAvoiding(s, t, w, nil)
 }
 
 // ShortestPathAvoiding returns a minimum-weight s->t path that visits none
 // of the avoid nodes. Appearances of s or t themselves in avoid are
-// ignored.
+// ignored. Cancellation is as for ShortestPath: the context is checked
+// once per query, not inside the search.
 func (r *Router) ShortestPathAvoiding(s, t NodeID, w WeightFunc, avoid []NodeID) (Path, bool) {
+	if r.interrupted() {
+		return Path{}, false // cancelled (see SetContext)
+	}
 	r.grow()
 	r.clearBans()
 	for _, n := range avoid {
@@ -124,7 +122,7 @@ func (r *Router) ShortestPathAvoiding(s, t NodeID, w WeightFunc, avoid []NodeID)
 			r.banNode(n)
 		}
 	}
-	return r.shortest(s, t, w)
+	return r.shortest(r.csr(w), s, t)
 }
 
 // ShortestDist returns the minimum path weight from s to t under w, or
@@ -135,55 +133,6 @@ func (r *Router) ShortestDist(s, t NodeID, w WeightFunc) float64 {
 		return math.Inf(1)
 	}
 	return p.Length
-}
-
-// shortest runs Dijkstra from s with the current bans in effect, stopping as
-// soon as t is settled. Callers must have called grow().
-func (r *Router) shortest(s, t NodeID, w WeightFunc) (Path, bool) {
-	if c := r.csr(); c != nil {
-		return r.shortestCSR(c, s, t)
-	}
-	if !r.g.validNode(s) || !r.g.validNode(t) {
-		return Path{}, false
-	}
-	if r.nodeBanned(s) || r.nodeBanned(t) {
-		return Path{}, false
-	}
-	r.cur++
-	r.heap = r.heap[:0]
-
-	r.setDist(s, 0, InvalidEdge)
-	r.heap.push(heapItem{dist: 0, node: s})
-
-	for len(r.heap) > 0 {
-		if r.interrupted() {
-			return Path{}, false // cancelled mid-search (see SetContext)
-		}
-		it := r.heap.pop()
-		u := it.node
-		if it.dist > r.dist[u] || r.stamp[u] != r.cur {
-			continue // stale heap entry
-		}
-		if u == t {
-			return r.buildPath(s, t), true
-		}
-		du := it.dist
-		for _, e := range r.g.out[u] {
-			if r.g.disabled[e] || r.edgeBanned(e) {
-				continue
-			}
-			v := r.g.arcs[e].To
-			if r.nodeBanned(v) {
-				continue
-			}
-			nd := du + w(e)
-			if r.stamp[v] != r.cur || nd < r.dist[v] {
-				r.setDist(v, nd, e)
-				r.heap.push(heapItem{dist: nd, node: v})
-			}
-		}
-	}
-	return Path{}, false
 }
 
 func (r *Router) setDist(n NodeID, d float64, via EdgeID) {
@@ -219,93 +168,5 @@ func (r *Router) buildPath(s, t NodeID) Path {
 func (r *Router) DistancesFrom(s NodeID, w WeightFunc) []float64 {
 	r.grow()
 	r.clearBans()
-	if c := r.csr(); c != nil {
-		return r.distancesFromCSR(c, s)
-	}
-	n := r.g.NumNodes()
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Inf(1)
-	}
-	if !r.g.validNode(s) {
-		return out
-	}
-	r.cur++
-	r.heap = r.heap[:0]
-	r.setDist(s, 0, InvalidEdge)
-	r.heap.push(heapItem{dist: 0, node: s})
-	for len(r.heap) > 0 {
-		if r.interrupted() {
-			break // cancelled: unsettled nodes stay +Inf (see SetContext)
-		}
-		it := r.heap.pop()
-		u := it.node
-		if it.dist > r.dist[u] || r.stamp[u] != r.cur {
-			continue
-		}
-		out[u] = it.dist
-		for _, e := range r.g.out[u] {
-			if r.g.disabled[e] {
-				continue
-			}
-			v := r.g.arcs[e].To
-			nd := it.dist + w(e)
-			if r.stamp[v] != r.cur || nd < r.dist[v] {
-				r.setDist(v, nd, e)
-				r.heap.push(heapItem{dist: nd, node: v})
-			}
-		}
-	}
-	return out
-}
-
-// heapItem is a (distance, node) pair in the Dijkstra priority queue.
-type heapItem struct {
-	dist float64
-	node NodeID
-}
-
-// nodeHeap is a hand-rolled binary min-heap. Lazy deletion (stale entries
-// skipped on pop) avoids decrease-key bookkeeping. It shares heapLess (see
-// csr.go) with the frozen 4-ary heap: the total order makes pop sequences
-// independent of heap arity, which is what keeps frozen kernels
-// bit-identical to these live ones on tie-heavy graphs.
-type nodeHeap []heapItem
-
-func (h *nodeHeap) push(it heapItem) {
-	*h = append(*h, it)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !heapLess((*h)[i], (*h)[parent]) {
-			break
-		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
-		i = parent
-	}
-}
-
-func (h *nodeHeap) pop() heapItem {
-	old := *h
-	top := old[0]
-	last := len(old) - 1
-	old[0] = old[last]
-	*h = old[:last]
-	i := 0
-	for {
-		l, rr := 2*i+1, 2*i+2
-		small := i
-		if l < last && heapLess(old[l], old[small]) {
-			small = l
-		}
-		if rr < last && heapLess(old[rr], old[small]) {
-			small = rr
-		}
-		if small == i {
-			break
-		}
-		old[i], old[small] = old[small], old[i]
-		i = small
-	}
-	return top
+	return r.distancesFrom(r.csr(w), s)
 }

@@ -45,49 +45,29 @@ func (p *Potential) At(v NodeID) float64 {
 // ReversePotential runs one full reverse Dijkstra from t (along in-edges,
 // over enabled edges; temporary bans are ignored) and returns the
 // distance-to-target table. It reuses the router's backward scratch arrays,
-// so the only allocation is the returned table itself. Under a cancelled
-// SetContext context the sweep stops early, leaving +Inf for unsettled
-// nodes; the Yen loops that consume the potential re-check the context
-// before trusting results built from it.
+// so the only allocation is the returned table itself (plus the one-call
+// snapshot when none is attached). Under a cancelled SetContext context
+// the sweep stops early, leaving +Inf for unsettled nodes; the Yen loops
+// that consume the potential re-check the context before trusting results
+// built from it.
 func (r *Router) ReversePotential(t NodeID, w WeightFunc) *Potential {
-	r.grow()
-	r.growBackward()
-	if c := r.csr(); c != nil {
-		return r.reversePotentialCSR(c, t)
+	return r.reversePotential(r.csr(w), t)
+}
+
+func (r *Router) growBackward() {
+	// One allocation per array, matching grow().
+	n := r.g.NumNodes()
+	if len(r.distB) < n {
+		dist := make([]float64, n)
+		copy(dist, r.distB)
+		r.distB = dist
+		stamp := make([]uint64, n)
+		copy(stamp, r.stampB)
+		r.stampB = stamp
 	}
-	h := make([]float64, r.g.NumNodes())
-	for i := range h {
-		h[i] = math.Inf(1)
-	}
-	pot := &Potential{target: t, h: h}
-	if !r.g.validNode(t) {
-		return pot
-	}
-	r.curB++
-	r.heapB = r.heapB[:0]
-	r.setDistB(t, 0, InvalidEdge)
-	r.heapB.push(heapItem{dist: 0, node: t})
-	for len(r.heapB) > 0 {
-		if r.interrupted() {
-			break // cancelled: unsettled nodes stay +Inf (see SetContext)
-		}
-		it := r.heapB.pop()
-		u := it.node
-		if it.dist > r.distB[u] || r.stampB[u] != r.curB {
-			continue
-		}
-		h[u] = it.dist
-		for _, e := range r.g.in[u] {
-			if r.g.disabled[e] {
-				continue
-			}
-			v := r.g.arcs[e].From
-			nd := it.dist + w(e)
-			if r.stampB[v] != r.curB || nd < r.distB[v] {
-				r.setDistB(v, nd, e)
-				r.heapB.push(heapItem{dist: nd, node: v})
-			}
-		}
-	}
-	return pot
+}
+
+func (r *Router) setDistB(n NodeID, d float64) {
+	r.distB[n] = d
+	r.stampB[n] = r.curB
 }

@@ -18,8 +18,8 @@ import (
 //     starts at the index where it deviated from its parent; deviations
 //     before that index were already generated during the parent's round.
 //  3. Parallel spur fan-out: within a round, spur searches are distributed
-//     over a pool of per-goroutine Routers sharing the read-only graph
-//     (bans and scratch arrays are router-local). Results are merged
+//     over a pool of per-goroutine Routers sharing the query's read-only
+//     snapshot (bans and scratch arrays are router-local). Results are merged
 //     serially in spur-index order, so output is identical to a serial run.
 //  4. Candidate-count bound: once k-1 candidates at or below length X have
 //     ever been generated, no candidate strictly longer than X can still be
@@ -36,10 +36,9 @@ const (
 
 // SetSpurWorkers sets the number of goroutines KShortest and
 // BestAlternative spread spur searches across. n == 1 forces serial
-// operation; n <= 0 restores the default (GOMAXPROCS capped at 8). The
-// WeightFunc passed to the query must be safe for concurrent calls when
-// more than one worker is active (pure table lookups, as all weight
-// functions in this repository are).
+// operation; n <= 0 restores the default (GOMAXPROCS capped at 8). Spur
+// workers read weights only from the query's snapshot, never from the
+// WeightFunc, so the WeightFunc need not be safe for concurrent calls.
 func (r *Router) SetSpurWorkers(n int) { r.spurWorkers = n }
 
 // spurParallelism returns the worker count for a round with the given
@@ -126,15 +125,14 @@ func (b *spurBound) cutoff() float64 {
 }
 
 // spurRouter returns the i-th pool router, creating and growing it lazily.
-// Pool routers share r's graph and r's frozen snapshot (validated by the
-// coordinator before the fan-out, and immutable while the round runs);
-// everything mutable — bans, scratch, heaps — is per-router.
+// Pool routers share r's graph; the coordinator hands them the query's
+// snapshot with each spur search (it is immutable while the round runs).
+// Everything mutable — bans, scratch, heaps — is per-router.
 func (r *Router) spurRouter(i int) *Router {
 	for len(r.spurPool) <= i {
 		r.spurPool = append(r.spurPool, NewRouter(r.g))
 	}
 	wr := r.spurPool[i]
-	wr.snap = r.snap
 	wr.grow()
 	return wr
 }
@@ -150,12 +148,7 @@ func (r *Router) spurRouter(i int) *Router {
 // p* the attacker forces is the 100th-shortest path, so this routine is the
 // workload generator for every experiment.
 func (r *Router) KShortest(s, t NodeID, k int, w WeightFunc) []Path {
-	if k <= 0 {
-		return nil
-	}
-	r.grow()
-	r.clearBans()
-	return r.kShortest(s, t, k, w, r.ReversePotential(t, w))
+	return r.KShortestWithPotential(s, t, k, w, nil)
 }
 
 // KShortestWithPotential is KShortest with a caller-supplied reverse
@@ -172,17 +165,18 @@ func (r *Router) KShortestWithPotential(s, t NodeID, k int, w WeightFunc, pot *P
 	}
 	r.grow()
 	r.clearBans()
+	c := r.csr(w)
 	if pot == nil || pot.Target() != t {
-		pot = r.ReversePotential(t, w)
+		pot = r.reversePotential(c, t)
 	}
-	return r.kShortest(s, t, k, w, pot)
+	return r.kShortest(c, s, t, k, pot)
 }
 
-// kShortest is the shared Yen engine behind KShortest and
-// KShortestWithPotential. Bans are already cleared and scratch arrays
-// grown; pot is a valid reverse potential for t under w.
-func (r *Router) kShortest(s, t NodeID, k int, w WeightFunc, pot *Potential) []Path {
-	first, ok := r.shortestAStar(s, t, w, pot, 0, math.Inf(1))
+// kShortest is the Yen engine behind KShortest and KShortestWithPotential.
+// Bans are already cleared and scratch arrays grown; pot is a valid
+// reverse potential for t under c's weights.
+func (r *Router) kShortest(c *Snapshot, s, t NodeID, k int, pot *Potential) []Path {
+	first, ok := r.shortestAStar(c, s, t, pot, 0, math.Inf(1))
 	if !ok {
 		return nil
 	}
@@ -201,7 +195,7 @@ func (r *Router) kShortest(s, t NodeID, k int, w WeightFunc, pot *Potential) []P
 			break // cancelled: return what we have (see SetContext)
 		}
 		last := len(accepted) - 1
-		r.spurCandidates(accepted[last], devs[last], accepted, t, w, pot, seen, &cands, bnd)
+		r.spurCandidates(c, accepted[last], devs[last], accepted, t, pot, seen, &cands, bnd)
 		if cands.Len() == 0 {
 			break
 		}
@@ -221,9 +215,7 @@ func (r *Router) kShortest(s, t NodeID, k int, w WeightFunc, pot *Potential) []P
 // This is the attack algorithms' exclusivity oracle: p* is the exclusive
 // shortest path iff BestAlternative(s, t, w, p*) has Length > p*.Length.
 func (r *Router) BestAlternative(s, t NodeID, w WeightFunc, avoid Path) (Path, bool) {
-	r.grow()
-	r.clearBans()
-	return r.bestAlternative(s, t, w, avoid, r.ReversePotential(t, w))
+	return r.BestAlternativeWithPotential(s, t, w, avoid, nil)
 }
 
 // BestAlternativeWithPotential is BestAlternative with a caller-supplied
@@ -237,14 +229,11 @@ func (r *Router) BestAlternative(s, t NodeID, w WeightFunc, avoid Path) (Path, b
 func (r *Router) BestAlternativeWithPotential(s, t NodeID, w WeightFunc, avoid Path, pot *Potential) (Path, bool) {
 	r.grow()
 	r.clearBans()
+	c := r.csr(w)
 	if pot == nil || pot.Target() != t {
-		pot = r.ReversePotential(t, w)
+		pot = r.reversePotential(c, t)
 	}
-	return r.bestAlternative(s, t, w, avoid, pot)
-}
-
-func (r *Router) bestAlternative(s, t NodeID, w WeightFunc, avoid Path, pot *Potential) (Path, bool) {
-	first, ok := r.shortestAStar(s, t, w, pot, 0, math.Inf(1))
+	first, ok := r.shortestAStar(c, s, t, pot, 0, math.Inf(1))
 	if !ok {
 		return Path{}, false
 	}
@@ -254,7 +243,7 @@ func (r *Router) bestAlternative(s, t NodeID, w WeightFunc, avoid Path, pot *Pot
 	seen := pathSet{}
 	seen.add(avoid.Edges)
 	var cands candidateHeap
-	r.spurCandidates(avoid, 0, []Path{avoid}, t, w, pot, seen, &cands, nil)
+	r.spurCandidates(c, avoid, 0, []Path{avoid}, t, pot, seen, &cands, nil)
 	if cands.Len() == 0 {
 		return Path{}, false
 	}
@@ -280,7 +269,7 @@ func (r *Router) bestAlternative(s, t NodeID, w WeightFunc, avoid Path, pot *Pot
 // whose root length plus the exact distance-to-target of its spur node
 // already exceeds the cutoff is skipped before any ban setup; the rest pass
 // the cutoff down so the A* can abandon itself mid-flight.
-func (r *Router) spurCandidates(base Path, start int, accepted []Path, t NodeID, w WeightFunc, pot *Potential, seen pathSet, cands *candidateHeap, bnd *spurBound) {
+func (r *Router) spurCandidates(c *Snapshot, base Path, start int, accepted []Path, t NodeID, pot *Potential, seen pathSet, cands *candidateHeap, bnd *spurBound) {
 	n := len(base.Edges)
 	if start < 0 {
 		start = 0
@@ -290,19 +279,19 @@ func (r *Router) spurCandidates(base Path, start int, accepted []Path, t NodeID,
 		cut = bnd.cutoff()
 	}
 	if workers := r.spurParallelism(n - start); workers > 1 {
-		r.spurCandidatesParallel(base, start, accepted, t, w, pot, seen, cands, bnd, cut, workers)
+		r.spurCandidatesParallel(c, base, start, accepted, t, pot, seen, cands, bnd, cut, workers)
 		return
 	}
 	rootLen := 0.0
 	for j := 0; j < start; j++ {
-		rootLen += w(base.Edges[j])
+		rootLen += c.w[base.Edges[j]]
 	}
 	for i := start; i < n; i++ {
 		if r.interrupted() {
 			break // cancelled mid-round: candidates so far are still valid
 		}
 		if rootLen+pot.At(base.Nodes[i]) <= cut {
-			if spur, ok := r.spurSearch(base, i, accepted, t, w, pot, rootLen, cut); ok {
+			if spur, ok := r.spurSearch(c, base, i, accepted, t, pot, rootLen, cut); ok {
 				total := concatSpur(base, i, rootLen, spur)
 				if seen.add(total.Edges) {
 					heap.Push(cands, candidate{path: total, dev: i})
@@ -312,25 +301,25 @@ func (r *Router) spurCandidates(base Path, start int, accepted []Path, t NodeID,
 				}
 			}
 		}
-		rootLen += w(base.Edges[i])
+		rootLen += c.w[base.Edges[i]]
 	}
 	r.clearBans()
 }
 
 // spurCandidatesParallel distributes the spur searches of one round across
 // pool routers. Every goroutine works on its own Router (private bans and
-// scratch arrays) against the shared read-only graph, writing results into
+// scratch arrays) against the shared read-only snapshot, writing results into
 // disjoint slice slots; the seen-set, heap, and bound updates then run
 // serially in spur-index order. The cutoff was fixed by the caller before
 // the fan-out, so every worker prunes exactly as the serial loop would and
 // the accepted output is identical to a serial run.
-func (r *Router) spurCandidatesParallel(base Path, start int, accepted []Path, t NodeID, w WeightFunc, pot *Potential, seen pathSet, cands *candidateHeap, bnd *spurBound, cut float64, workers int) {
+func (r *Router) spurCandidatesParallel(c *Snapshot, base Path, start int, accepted []Path, t NodeID, pot *Potential, seen pathSet, cands *candidateHeap, bnd *spurBound, cut float64, workers int) {
 	n := len(base.Edges)
 	// prefix[i] is the weight of base's first i edges, summed left to right
 	// exactly as the serial accumulation would, so Lengths are bit-equal.
 	prefix := make([]float64, n+1)
 	for i := 0; i < n; i++ {
-		prefix[i+1] = prefix[i] + w(base.Edges[i])
+		prefix[i+1] = prefix[i] + c.w[base.Edges[i]]
 	}
 
 	spurs := make([]Path, n-start)
@@ -348,7 +337,7 @@ func (r *Router) spurCandidatesParallel(base Path, start int, accepted []Path, t
 				if prefix[i]+pot.At(base.Nodes[i]) > cut {
 					continue // same pre-skip as the serial loop
 				}
-				if spur, ok := wr.spurSearch(base, i, accepted, t, w, pot, prefix[i], cut); ok {
+				if spur, ok := wr.spurSearch(c, base, i, accepted, t, pot, prefix[i], cut); ok {
 					spurs[i-start] = spur
 					found[i-start] = true
 				}
@@ -377,7 +366,7 @@ func (r *Router) spurCandidatesParallel(base Path, start int, accepted []Path, t
 // sharing base's root) and runs the goal-directed search from the spur node
 // to t. rootLen and cut feed the candidate-count bound (see spurBound);
 // cut == +Inf disables it.
-func (r *Router) spurSearch(base Path, i int, accepted []Path, t NodeID, w WeightFunc, pot *Potential, rootLen, cut float64) (Path, bool) {
+func (r *Router) spurSearch(c *Snapshot, base Path, i int, accepted []Path, t NodeID, pot *Potential, rootLen, cut float64) (Path, bool) {
 	spurNode := base.Nodes[i]
 	if math.IsInf(pot.At(spurNode), 1) {
 		return Path{}, false // spur node cannot reach t even unbanned
@@ -391,7 +380,7 @@ func (r *Router) spurSearch(base Path, i int, accepted []Path, t NodeID, w Weigh
 	for j := 0; j < i; j++ {
 		r.banNode(base.Nodes[j])
 	}
-	return r.shortestAStar(spurNode, t, w, pot, rootLen, cut)
+	return r.shortestAStar(c, spurNode, t, pot, rootLen, cut)
 }
 
 // samePrefix reports whether p and q share their first i edges.

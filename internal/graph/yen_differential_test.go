@@ -9,10 +9,10 @@ import (
 )
 
 // This file retains the pre-optimization Yen implementation (goal-blind
-// full Dijkstra per spur, no Lawler skip, string-key dedup, sequential) as
-// a test-only reference, and property-checks that the optimized engine
-// returns the exact same ordered path list — the optimisations must be
-// invisible in the output.
+// full Dijkstra per spur on the reference kernel, no Lawler skip,
+// string-key dedup, sequential) as a test-only reference, and
+// property-checks that the optimized engine returns the exact same ordered
+// path list — the optimisations must be invisible in the output.
 //
 // The randomized graphs use continuous random weights so no two distinct
 // simple paths tie: under ties the k shortest paths are not unique and both
@@ -20,14 +20,14 @@ import (
 // representatives (TestKShortestTiedWeightsLengths covers that regime by
 // comparing the — still unique — length sequence).
 
-// yenReference is the seed KShortest, verbatim except for naming.
-func yenReference(r *Router, s, t NodeID, k int, w WeightFunc) []Path {
+// yenReference is the seed KShortest, verbatim except for naming and the
+// reference kernel it runs on.
+func yenReference(g *Graph, s, t NodeID, k int, w WeightFunc) []Path {
 	if k <= 0 {
 		return nil
 	}
-	r.grow()
-	r.clearBans()
-	first, ok := r.shortest(s, t, w)
+	r := newRefRouter(g, w)
+	first, ok := r.shortest(s, t)
 	if !ok {
 		return nil
 	}
@@ -37,7 +37,7 @@ func yenReference(r *Router, s, t NodeID, k int, w WeightFunc) []Path {
 
 	for len(accepted) < k {
 		prev := accepted[len(accepted)-1]
-		refSpurCandidates(r, prev, accepted, t, w, seen, &cands)
+		refSpurCandidates(r, prev, accepted, t, seen, &cands)
 		if cands.Len() == 0 {
 			break
 		}
@@ -47,11 +47,11 @@ func yenReference(r *Router, s, t NodeID, k int, w WeightFunc) []Path {
 	return accepted
 }
 
-// refBestAlternative is the seed BestAlternative, verbatim except naming.
-func refBestAlternative(r *Router, s, t NodeID, w WeightFunc, avoid Path) (Path, bool) {
-	r.grow()
-	r.clearBans()
-	first, ok := r.shortest(s, t, w)
+// refBestAlternative is the seed BestAlternative, verbatim except naming
+// and the reference kernel it runs on.
+func refBestAlternative(g *Graph, s, t NodeID, w WeightFunc, avoid Path) (Path, bool) {
+	r := newRefRouter(g, w)
+	first, ok := r.shortest(s, t)
 	if !ok {
 		return Path{}, false
 	}
@@ -60,7 +60,7 @@ func refBestAlternative(r *Router, s, t NodeID, w WeightFunc, avoid Path) (Path,
 	}
 	seen := map[string]struct{}{avoid.Key(): {}}
 	var cands refCandidateHeap
-	refSpurCandidates(r, avoid, []Path{avoid}, t, w, seen, &cands)
+	refSpurCandidates(r, avoid, []Path{avoid}, t, seen, &cands)
 	if cands.Len() == 0 {
 		return Path{}, false
 	}
@@ -69,22 +69,12 @@ func refBestAlternative(r *Router, s, t NodeID, w WeightFunc, avoid Path) (Path,
 
 // refSpurCandidates is the seed deviation round: every spur index from 0,
 // goal-blind banned Dijkstra, string-key dedup.
-func refSpurCandidates(r *Router, base Path, accepted []Path, t NodeID, w WeightFunc, seen map[string]struct{}, cands *refCandidateHeap) {
+func refSpurCandidates(r *refRouter, base Path, accepted []Path, t NodeID, seen map[string]struct{}, cands *refCandidateHeap) {
 	rootLen := 0.0
 	for i := 0; i < len(base.Edges); i++ {
 		spurNode := base.Nodes[i]
-
-		r.clearBans()
-		for _, p := range accepted {
-			if i < len(p.Edges) && samePrefix(p, base, i) {
-				r.banEdge(p.Edges[i])
-			}
-		}
-		for j := 0; j < i; j++ {
-			r.banNode(base.Nodes[j])
-		}
-
-		if spur, ok := r.shortest(spurNode, t, w); ok {
+		r.banYen(base, i, accepted)
+		if spur, ok := r.shortest(spurNode, t); ok {
 			total := concatSpur(base, i, rootLen, spur)
 			key := total.Key()
 			if _, dup := seen[key]; !dup {
@@ -92,7 +82,7 @@ func refSpurCandidates(r *Router, base Path, accepted []Path, t NodeID, w Weight
 				heap.Push(cands, total)
 			}
 		}
-		rootLen += w(base.Edges[i])
+		rootLen += r.w(base.Edges[i])
 	}
 	r.clearBans()
 }
@@ -177,7 +167,7 @@ func TestKShortestMatchesReference(t *testing.T) {
 		tgt := NodeID(rng.Intn(n))
 		k := 1 + rng.Intn(25)
 
-		want := yenReference(NewRouter(g), s, tgt, k, w)
+		want := yenReference(g, s, tgt, k, w)
 
 		serial := NewRouter(g)
 		serial.SetSpurWorkers(1)
@@ -210,12 +200,12 @@ func TestBestAlternativeMatchesReference(t *testing.T) {
 		s := NodeID(rng.Intn(n))
 		tgt := NodeID(rng.Intn(n))
 
-		avoids := yenReference(NewRouter(g), s, tgt, 3, w)
+		avoids := yenReference(g, s, tgt, 3, w)
 		if len(avoids) == 0 {
 			avoids = []Path{{}} // unreachable: both must report !ok
 		}
 		for _, avoid := range avoids {
-			wantPath, wantOK := refBestAlternative(NewRouter(g), s, tgt, w, avoid)
+			wantPath, wantOK := refBestAlternative(g, s, tgt, w, avoid)
 			gotPath, gotOK := NewRouter(g).BestAlternative(s, tgt, w, avoid)
 			if gotOK != wantOK {
 				t.Logf("seed %d: ok=%v, want %v", seed, gotOK, wantOK)
@@ -243,7 +233,7 @@ func TestBestAlternativeMatchesReference(t *testing.T) {
 // and every structural invariant must hold.
 func TestKShortestTiedWeightsLengths(t *testing.T) {
 	g, w := gridGraph(4, 5)
-	want := yenReference(NewRouter(g), 0, 19, 60, w)
+	want := yenReference(g, 0, 19, 60, w)
 
 	for _, workers := range []int{1, 4} {
 		r := NewRouter(g)
@@ -294,7 +284,7 @@ func TestKShortestCachedPotentialAfterDisables(t *testing.T) {
 				tx.Disable(EdgeID(e))
 			}
 		}
-		wantPath, wantOK := refBestAlternative(NewRouter(g), s, tgt, w, avoid)
+		wantPath, wantOK := refBestAlternative(g, s, tgt, w, avoid)
 		gotPath, gotOK := r.BestAlternativeWithPotential(s, tgt, w, avoid, pot)
 		tx.Rollback()
 
@@ -310,9 +300,9 @@ func TestKShortestCachedPotentialAfterDisables(t *testing.T) {
 // TestKShortestWithPotentialMatches checks that a caller-supplied reverse
 // potential — the registry's per-hospital cache — is invisible in the
 // output: KShortestWithPotential with a precomputed potential returns the
-// exact path list of KShortest, on the live kernels and on a frozen
-// snapshot, and a nil or wrong-target potential degrades to a plain
-// KShortest rather than a wrong answer.
+// exact path list of KShortest, with a per-call freeze and with an
+// attached snapshot, and a nil or wrong-target potential degrades to a
+// plain KShortest rather than a wrong answer.
 func TestKShortestWithPotentialMatches(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 80}
 	prop := func(seed int64) bool {
@@ -327,7 +317,7 @@ func TestKShortestWithPotentialMatches(t *testing.T) {
 		pot := NewRouter(g).ReversePotential(tgt, w)
 
 		if err := samePathList(NewRouter(g).KShortestWithPotential(s, tgt, k, w, pot), want); err != nil {
-			t.Logf("seed %d (live, s=%d t=%d k=%d): %v", seed, s, tgt, k, err)
+			t.Logf("seed %d (per-call freeze, s=%d t=%d k=%d): %v", seed, s, tgt, k, err)
 			return false
 		}
 

@@ -15,7 +15,7 @@ import (
 // (x == math.Inf(1), x == inf()) are exempt — infinity is absorbing and
 // exact by construction. _test.go files are exempt wholesale: the test
 // suite's exact comparisons assert the repo's bit-reproducibility
-// contract (frozen-vs-live kernels, resume, cache equivalence).
+// contract (kernels vs their test reference, resume, cache equivalence).
 //
 // Float-ness is inferred without go/types: from float literals,
 // float32/float64 declarations in the enclosing function, float-typed

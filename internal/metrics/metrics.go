@@ -137,6 +137,7 @@ func PathRankGap(net *roadnet.Network, pairs []Endpoint, ranks []int, w graph.We
 
 	counts := make(map[int]int, len(ranks))
 	r := net.Router()
+	r.UseSnapshot(graph.Freeze(net.Graph(), w)) // one freeze for every pair
 	for _, pair := range pairs {
 		paths := r.KShortest(pair.Source, pair.Dest, maxRank, w)
 		if len(paths) == 0 || paths[0].Length <= 0 {

@@ -172,15 +172,7 @@ func (m *Metric) cellInteriorOffBase(c int32) bool {
 func (m *Metric) Customize(ctx context.Context, edges ...graph.EdgeID) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, e := range edges {
-		if int(e) >= len(m.ov.eCell) {
-			continue // edge added after freeze: snapshot is stale anyway
-		}
-		if c := m.ov.eCell[e]; c >= 0 && !m.pendingMark[c] {
-			m.pendingMark[c] = true
-			m.pending = append(m.pending, c)
-		}
-	}
+	m.markLocked(edges)
 	return m.drainLocked(ctx)
 }
 
@@ -193,15 +185,7 @@ func (m *Metric) Apply(ctx context.Context, edges []graph.EdgeID, mutate func())
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	mutate()
-	for _, e := range edges {
-		if int(e) >= len(m.ov.eCell) {
-			continue
-		}
-		if c := m.ov.eCell[e]; c >= 0 && !m.pendingMark[c] {
-			m.pendingMark[c] = true
-			m.pending = append(m.pending, c)
-		}
-	}
+	m.markLocked(edges)
 	return m.drainLocked(ctx)
 }
 
@@ -215,17 +199,24 @@ func (m *Metric) Apply(ctx context.Context, edges []graph.EdgeID, mutate func())
 // until the next clique read instead of running inside the hot loop.
 func (m *Metric) MarkStale(edges ...graph.EdgeID) {
 	m.mu.Lock()
+	m.markLocked(edges)
+	m.pendingCount.Store(int32(len(m.pending)))
+	m.mu.Unlock()
+}
+
+// markLocked queues, once each, the cells holding any of the given edges
+// in their interior. Cross-cell edges queue nothing: cross arcs read the
+// live disabled flags. Callers hold m.mu.
+func (m *Metric) markLocked(edges []graph.EdgeID) {
 	for _, e := range edges {
 		if int(e) >= len(m.ov.eCell) {
-			continue
+			continue // edge added after freeze: snapshot is stale anyway
 		}
 		if c := m.ov.eCell[e]; c >= 0 && !m.pendingMark[c] {
 			m.pendingMark[c] = true
 			m.pending = append(m.pending, c)
 		}
 	}
-	m.pendingCount.Store(int32(len(m.pending)))
-	m.mu.Unlock()
 }
 
 // drainLocked recomputes queued cells, stopping early (cells stay

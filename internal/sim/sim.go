@@ -127,6 +127,7 @@ func Run(cfg Config) (Result, error) {
 	g := cfg.Net.Graph()
 	w := cfg.Net.Weight(roadnet.WeightTime)
 	router := graph.NewRouter(g)
+	router.UseSnapshot(cfg.Net.Snapshot(roadnet.WeightTime))
 
 	for _, v := range cfg.Vehicles {
 		if v.Source < 0 || int(v.Source) >= g.NumNodes() || v.Dest < 0 || int(v.Dest) >= g.NumNodes() {

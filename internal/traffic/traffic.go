@@ -102,6 +102,12 @@ func (a Assignment) TotalVehicleSeconds(net *roadnet.Network) float64 {
 // Disabled edges (e.g. an applied attack cut) carry no traffic, so
 // assigning the same demand before and after Apply(cut) measures the
 // congestion the attack causes city-wide.
+//
+// The graph is frozen once under the congested weight; loading a path
+// changes the volume — hence the weight — of that path's edges only, so
+// just those edges are re-read into the snapshot (Snapshot.Reweight)
+// before the next query. Every query therefore sees exactly the weights
+// the accumulated volume implies.
 func AssignIncremental(net *roadnet.Network, demands []Demand, slices int) (Assignment, error) {
 	if len(demands) == 0 {
 		return Assignment{}, ErrNoDemand
@@ -117,8 +123,10 @@ func AssignIncremental(net *roadnet.Network, demands []Demand, slices int) (Assi
 
 	g := net.Graph()
 	a := Assignment{Volumes: make([]float64, g.NumEdges())}
-	r := graph.NewRouter(g)
 	w := a.Weight(net)
+	snap := graph.Freeze(g, w) // private to this call: Reweight patches it
+	r := graph.NewRouter(g)
+	r.UseSnapshot(snap)
 
 	for s := 0; s < slices; s++ {
 		for _, d := range demands {
@@ -134,6 +142,7 @@ func AssignIncremental(net *roadnet.Network, demands []Demand, slices int) (Assi
 			for _, e := range path.Edges {
 				a.Volumes[e] += rate
 			}
+			snap.Reweight(path.Edges)
 		}
 	}
 	return a, nil
