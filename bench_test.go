@@ -40,9 +40,11 @@ const (
 )
 
 var (
-	benchMu    sync.Mutex
-	benchNets  = map[citygen.City]*altroute.Network{}
-	benchUnits = map[string][]experiment.Unit{}
+	benchMu   sync.Mutex
+	benchNets = map[citygen.City]*altroute.Network{}
+	// benchFullNets holds the full-size cities, built on first use.
+	benchFullNets = map[citygen.City]*altroute.Network{}
+	benchUnits    = map[string][]experiment.Unit{}
 )
 
 // benchNetwork builds (once) the synthetic city for benchmarks.
@@ -58,6 +60,22 @@ func benchNetwork(b *testing.B, c citygen.City) *altroute.Network {
 		b.Fatal(err)
 	}
 	benchNets[c] = net
+	return net
+}
+
+// benchFullNetwork builds (once) the full Table I size city.
+func benchFullNetwork(b *testing.B, c citygen.City) *altroute.Network {
+	b.Helper()
+	benchMu.Lock()
+	defer benchMu.Unlock()
+	if net, ok := benchFullNets[c]; ok {
+		return net
+	}
+	net, err := citygen.Build(c, 1, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchFullNets[c] = net
 	return net
 }
 
@@ -398,6 +416,25 @@ func BenchmarkYenK200CSR(b *testing.B) {
 	}
 }
 
+// BenchmarkYenK100Boston is the paper's p* query at the paper's scale:
+// rank 100 on full-size Boston, the organic preset, to a hospital, with
+// the network's snapshot attached. On the organic layout a single spur
+// search can send A* wide, so this is where the lazy engine's skipped
+// spur searches weigh most.
+func BenchmarkYenK100Boston(b *testing.B) {
+	net := benchFullNetwork(b, citygen.Boston)
+	w := net.Weight(roadnet.WeightTime)
+	r := altroute.NewRouter(net.Graph())
+	r.UseSnapshot(net.Snapshot(roadnet.WeightTime))
+	h := net.POIsOfKind(citygen.KindHospital)[0]
+	n := net.NumIntersections()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.KShortest(altroute.NodeID((i*997)%n), h.Node, 100, w)
+	}
+}
+
 // BenchmarkBetweennessParallel measures the snapshot-parallel Brandes
 // sweep on the BenchmarkEdgeBetweennessSampled workload (same sampled
 // sources; scores are bitwise identical across worker counts).
@@ -553,111 +590,6 @@ func BenchmarkMultiVictim(b *testing.B) {
 		if _, err := core.RunMulti(core.AlgGreedyPathCover, p, core.Options{Seed: benchSeed}); err != nil {
 			b.Skipf("victims conflict: %v", err)
 		}
-	}
-}
-
-// BenchmarkPointToPointOverlay compares the partition-overlay query layer
-// against the frozen CSR kernel it replicates, on the BenchmarkDijkstraCSR
-// city. "warm" amortizes one target's labels across queries (how the
-// oracle uses it); "cold" cycles destinations so nearly every query pays
-// the label build (the base-state label cache holds only a few dozen
-// targets). All three produce bit-identical paths (see
-// internal/overlay/overlay_differential_test.go) — only the work per
-// query differs.
-func BenchmarkPointToPointOverlay(b *testing.B) {
-	net := benchNetwork(b, citygen.Chicago)
-	w := net.Weight(roadnet.WeightTime)
-	snap := net.Snapshot(roadnet.WeightTime)
-	h := net.POIsOfKind(citygen.KindHospital)[0]
-	n := net.NumIntersections()
-
-	b.Run("csr", func(b *testing.B) {
-		r := altroute.NewRouter(net.Graph())
-		r.UseSnapshot(snap)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.ShortestPath(altroute.NodeID(i%n), h.Node, w)
-		}
-	})
-
-	ov, err := overlay.Build(context.Background(), snap, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := overlay.NewMetric(context.Background(), ov)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("overlay-warm", func(b *testing.B) {
-		q := overlay.NewQuerier(m)
-		tl := q.BuildTargetLabels(h.Node)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q.QueryTo(altroute.NodeID(i%n), tl)
-		}
-	})
-	b.Run("overlay-cold", func(b *testing.B) {
-		q := overlay.NewQuerier(m)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q.Query(altroute.NodeID(i%n), altroute.NodeID((i*613+1)%n))
-		}
-	})
-}
-
-// BenchmarkCustomizeAfterCut measures single-cut metric customization:
-// each op toggles one interior edge and eagerly recomputes the one
-// affected cell's clique. build_ns is the full from-scratch overlay
-// metric build for comparison; pct_of_build is the measured per-op cost
-// as a percentage of it (the acceptance bound is <=10%).
-func BenchmarkCustomizeAfterCut(b *testing.B) {
-	net := benchNetwork(b, citygen.Chicago)
-	g := net.Graph()
-	snap := net.Snapshot(roadnet.WeightTime)
-	ov, err := overlay.Build(context.Background(), snap, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	start := time.Now()
-	m, err := overlay.NewMetric(context.Background(), ov)
-	if err != nil {
-		b.Fatal(err)
-	}
-	build := float64(time.Since(start).Nanoseconds())
-	cut := altroute.EdgeID(-1)
-	for e := 0; e < snap.NumEdges(); e++ {
-		if a := g.Arc(altroute.EdgeID(e)); ov.Cell(a.From) == ov.Cell(a.To) {
-			cut = altroute.EdgeID(e)
-			break
-		}
-	}
-	if cut < 0 {
-		b.Skip("no interior edge")
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			g.DisableEdge(cut)
-		} else {
-			g.EnableEdge(cut)
-		}
-		if recomputed := m.Customize(ctx, cut); recomputed != 1 {
-			b.Fatalf("customize recomputed %d cells, want 1", recomputed)
-		}
-	}
-	b.StopTimer()
-	if b.N%2 == 1 { // loop ended on a disable: restore the shared city
-		g.EnableEdge(cut)
-		m.Customize(ctx, cut)
-	}
-	b.ReportMetric(build, "build_ns")
-	if build > 0 && b.N > 0 {
-		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		b.ReportMetric(100*perOp/build, "pct_of_build")
 	}
 }
 

@@ -16,10 +16,10 @@
 //	-all       everything above
 //	-figures DIR  write Figures 1-4 SVGs into DIR
 //
-// The default -scale 0.05 keeps the whole suite in CPU-minutes territory;
-// -scale 1 reproduces the paper's full Table I graph sizes. -rank scales
-// the alternative-route rank (the paper uses 100) so small graphs stay
-// feasible.
+// The defaults are the paper's settings: -scale 1 (full Table I graph
+// sizes) and -rank 100 (p* is the 100th-shortest path). Smaller -scale
+// values shrink the cities for quick runs; pass -rank with them, since a
+// small city may not hold 100 simple paths between every pair.
 package main
 
 import (
@@ -127,9 +127,9 @@ func run(args []string) error {
 		tableNum = fs.Int("table", 0, "table to regenerate (1-10); 0 with -all unset prints usage")
 		all      = fs.Bool("all", false, "regenerate every table")
 		figDir   = fs.String("figures", "", "write Figures 1-4 SVGs into this directory")
-		scale    = fs.Float64("scale", 0.05, "city scale (1 = full Table I size)")
+		scale    = fs.Float64("scale", 1, "city scale (1 = full Table I size)")
 		seed     = fs.Int64("seed", 1, "random seed")
-		rank     = fs.Int("rank", 0, "p* path rank (default: 100*scale, min 10)")
+		rank     = fs.Int("rank", 100, "p* path rank (the paper uses 100)")
 		sources  = fs.Int("sources", 10, "random sources per hospital")
 		workers  = fs.Int("workers", 0, "parallel cell workers (0 = all cores, 1 = serial)")
 		timeout  = fs.Duration("timeout", 0, "per-attack deadline (0 = none); timed-out LP-PathCover attacks degrade to greedy covers")
@@ -139,6 +139,9 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *rank < 1 {
+		return fmt.Errorf("-rank %d: the path rank must be at least 1", *rank)
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -164,12 +167,6 @@ func run(args []string) error {
 				fmt.Fprintln(os.Stderr, "experiment: memprofile:", err)
 			}
 		}()
-	}
-	if *rank <= 0 {
-		*rank = int(100 * *scale)
-		if *rank < 20 {
-			*rank = 20
-		}
 	}
 	// SIGINT/SIGTERM cancel the run context: the table runners stop at their
 	// next poll point, the partial table is rendered, and the checkpoint

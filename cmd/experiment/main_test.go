@@ -207,6 +207,12 @@ func TestRunNothingToDo(t *testing.T) {
 	}
 }
 
+func TestRunRejectsRankBelowOne(t *testing.T) {
+	if err := run([]string{"-table", "3", "-scale", "0.02", "-rank", "0"}); err == nil {
+		t.Error("-rank 0 accepted")
+	}
+}
+
 func TestRunUnknownFlag(t *testing.T) {
 	if err := run([]string{"-nope"}); err == nil {
 		t.Error("unknown flag accepted")

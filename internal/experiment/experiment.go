@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 
 	"altroute/internal/citygen"
@@ -121,6 +122,13 @@ func buildNetwork(spec *Spec) (*roadnet.Network, error) {
 // resampling sources for which the rank is unavailable (too close or too
 // thinly connected).
 //
+// Sources are drawn from one seeded generator in a fixed order and
+// evaluated up to GOMAXPROCS at a time, all on the network's shared
+// snapshot and one reverse potential per hospital. Results are accepted
+// in draw order, and a value drawn ahead that the current hospital turns
+// out not to need is the next hospital's first draw, so the units, their
+// order and the errors are the same as evaluating one draw at a time.
+//
 // On ErrSampling the units sampled before the exhausted hospital are
 // returned alongside the error, so a caller content with partial coverage
 // can proceed with them.
@@ -131,30 +139,93 @@ func SampleUnits(net *roadnet.Network, spec Spec) ([]Unit, error) {
 		return nil, ErrNoHospitals
 	}
 	w := net.Weight(spec.WeightType)
+	snap := net.Snapshot(spec.WeightType)
 	n := net.NumIntersections()
 	rng := rand.New(rand.NewSource(spec.Seed ^ 0x5eed))
+	workers := runtime.GOMAXPROCS(0)
+	routers := make(chan *graph.Router, workers)
+	for i := 0; i < workers; i++ {
+		r := graph.NewRouter(net.Graph())
+		r.UseSnapshot(snap)
+		routers <- r
+	}
+	// Draw number a (from 0) of a hospital is tried while a <= 80*S.
+	maxAttempts := 80*spec.SourcesPerHospital + 1
 
+	type sampled struct {
+		attempt int
+		pstar   graph.Path
+		ok      bool
+	}
 	var units []Unit
+	var draws []graph.NodeID // drawn for the current hospital, in draw order
 	for _, h := range hospitals {
-		found := 0
-		for attempt := 0; found < spec.SourcesPerHospital; attempt++ {
-			if attempt > 80*spec.SourcesPerHospital {
-				return units, fmt.Errorf("%w: hospital %q yielded %d/%d sources",
-					ErrSampling, h.Name, found, spec.SourcesPerHospital)
+		r := <-routers
+		pot := r.ReversePotential(h.Node, w)
+		routers <- r
+		// At most workers evaluations are in flight, so no send blocks,
+		// including those of evaluations drained and dropped below.
+		results := make(chan sampled, workers)
+		done := map[int]sampled{}
+		found, head, next, inflight := 0, 0, 0, 0
+		for found < spec.SourcesPerHospital && head < maxAttempts {
+			for inflight < workers && next < maxAttempts {
+				if next == len(draws) {
+					draws = append(draws, graph.NodeID(rng.Intn(n)))
+				}
+				a, src := next, draws[next]
+				next++
+				if src == h.Node {
+					done[a] = sampled{attempt: a}
+					continue
+				}
+				inflight++
+				go func() {
+					r := <-routers
+					pstar, ok := rankedPath(r, src, h.Node, spec.PathRank, w, pot)
+					routers <- r
+					results <- sampled{attempt: a, pstar: pstar, ok: ok}
+				}()
 			}
-			src := graph.NodeID(rng.Intn(n))
-			if src == h.Node {
-				continue
+			for found < spec.SourcesPerHospital {
+				res, ok := done[head]
+				if !ok {
+					break
+				}
+				delete(done, head)
+				if res.ok {
+					units = append(units, Unit{Source: draws[head], Dest: h.Node, Hospital: h.Name, PStar: res.pstar})
+					found++
+				}
+				head++
 			}
-			pstar, err := core.PStarByRank(net.Graph(), src, h.Node, spec.PathRank, w)
-			if err != nil {
-				continue
+			if found < spec.SourcesPerHospital && head < maxAttempts {
+				res := <-results
+				inflight--
+				done[res.attempt] = res
 			}
-			units = append(units, Unit{Source: src, Dest: h.Node, Hospital: h.Name, PStar: pstar})
-			found++
 		}
+		for ; inflight > 0; inflight-- {
+			<-results
+		}
+		if found < spec.SourcesPerHospital {
+			return units, fmt.Errorf("%w: hospital %q yielded %d/%d sources",
+				ErrSampling, h.Name, found, spec.SourcesPerHospital)
+		}
+		draws = append(draws[:0], draws[head:]...)
 	}
 	return units, nil
+}
+
+// rankedPath is core.PStarByRank on a router with the network snapshot
+// attached and the target's reverse potential precomputed: the rank-th
+// shortest s->d path, false when fewer than rank simple paths exist.
+func rankedPath(r *graph.Router, s, d graph.NodeID, rank int, w graph.WeightFunc, pot *graph.Potential) (graph.Path, bool) {
+	paths := r.KShortestWithPotential(s, d, rank, w, pot)
+	if len(paths) < rank {
+		return graph.Path{}, false
+	}
+	return paths[rank-1], true
 }
 
 // Cell is one (algorithm, cost type) table cell averaged over all units.

@@ -337,6 +337,16 @@ func TestRenderers(t *testing.T) {
 		t.Error("Table IX render missing city")
 	}
 
+	// Los Angeles has only a TIME table: its LENGTH pair prints dashes.
+	sb.Reset()
+	la := Table{City: "Los Angeles", WeightType: roadnet.WeightTime, Cells: []Cell{
+		{Algorithm: core.AlgGreedyEdge, CostType: roadnet.CostUniform, ANER: 2, ACRE: 3, Runs: 1},
+	}}
+	RenderTableIX(&sb, Aggregate([]Table{la}))
+	if want := "Los Angeles     |        —        — |     2.00     3.00"; !strings.Contains(sb.String(), want) {
+		t.Errorf("Table IX render wrong, want line %q:\n%s", want, sb.String())
+	}
+
 	sb.Reset()
 	RenderTableX(&sb, []ThresholdRow{{City: "Boston", AvgInc100: 7.9, AvgInc200: 9.5}}, 100)
 	if !strings.Contains(sb.String(), "7.90%") {

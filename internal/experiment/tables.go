@@ -74,15 +74,20 @@ func RenderTableI(w io.Writer, rows []metrics.GraphSummary) {
 	}
 }
 
-// RenderTableIX writes the Table IX cross-cost-type averages.
+// RenderTableIX writes the Table IX cross-cost-type averages. A weight
+// type with no averaged cell for a city prints "—": the paper has no Los
+// Angeles LENGTH table, so that pair is absent, not zero.
 func RenderTableIX(w io.Writer, rows []CityAverage) {
 	fmt.Fprintln(w, "AVERAGE ANER AND ACRE ACROSS ALL COST TYPES (Table IX)")
 	fmt.Fprintf(w, "%-15s | %8s %8s | %8s %8s\n", "City", "LEN.ANER", "LEN.ACRE", "TIM.ANER", "TIM.ACRE")
+	pair := func(r CityAverage, wt roadnet.WeightType) string {
+		if _, ok := r.ANER[wt]; !ok {
+			return fmt.Sprintf("%8s %8s", "—", "—")
+		}
+		return fmt.Sprintf("%8.2f %8.2f", r.ANER[wt], r.ACRE[wt])
+	}
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-15s | %8.2f %8.2f | %8.2f %8.2f\n",
-			r.City,
-			r.ANER[roadnet.WeightLength], r.ACRE[roadnet.WeightLength],
-			r.ANER[roadnet.WeightTime], r.ACRE[roadnet.WeightTime])
+		fmt.Fprintf(w, "%-15s | %s | %s\n", r.City, pair(r, roadnet.WeightLength), pair(r, roadnet.WeightTime))
 	}
 }
 

@@ -16,8 +16,7 @@ import "context"
 func (r *Router) SetContext(ctx context.Context) { r.ctx = ctx }
 
 // interrupted reports whether the attached context has been cancelled or
-// has passed its deadline. It is read-only and therefore safe to call from
-// the parallel spur workers, which share the coordinating router's context.
+// has passed its deadline.
 func (r *Router) interrupted() bool {
 	return r.ctx != nil && r.ctx.Err() != nil
 }

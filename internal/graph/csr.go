@@ -28,9 +28,9 @@ import (
 
 // Snapshot is an immutable flat CSR image of a Graph under one weight
 // function. It is safe for any number of concurrent readers (the parallel
-// Yen spur workers and Brandes workers share one), as long as no edges are
-// concurrently disabled or enabled — the same contract concurrent readers
-// of the live Graph already have.
+// Brandes workers and the sampler's and server's routers share one), as
+// long as no edges are concurrently disabled or enabled — the same
+// contract concurrent readers of the live Graph already have.
 type Snapshot struct {
 	g   *Graph
 	gen uint64
@@ -228,8 +228,8 @@ func (r *Router) Snapshot() *Snapshot { return r.snap }
 // csr returns the snapshot a public query runs on: the attached one,
 // re-frozen first if topology moved on, or — when none is attached or it
 // belongs to another graph — a fresh freeze of the graph under w that
-// lives only for this call. A query that fans out (the Yen spur workers)
-// shares that one snapshot; nothing freezes per spur search.
+// lives only for this call. Every spur search of a k-shortest query runs
+// on that one snapshot; nothing freezes per spur search.
 func (r *Router) csr(w WeightFunc) *Snapshot {
 	c := r.snap
 	if c == nil || c.g != r.g {
@@ -372,6 +372,13 @@ func (r *Router) shortest(c *Snapshot, s, t NodeID) (Path, bool) {
 	return Path{}, false
 }
 
+// sealStride is how many forward pops of a spur search pay for one node of
+// its sealed-target check. Sealed regions on the paper's cities are a few
+// nodes, so a stride of 8 still stops a sealed search within a few dozen
+// pops, while the check's reverse steps cost an eighth of the forward
+// work on the 98-99% of spur searches that are not sealed.
+const sealStride = 8
+
 // shortestAStar is the Yen spur search: a goal-directed A* from s to t on
 // c guided by a reverse potential, honouring the current node/edge bans
 // and disabled edges. With an exact (hence consistent) potential every
@@ -382,14 +389,9 @@ func (r *Router) shortest(c *Snapshot, s, t NodeID) (Path, bool) {
 //
 // Nodes the target was unreachable from at potential-computation time
 // (h = +Inf) are pruned outright: bans only remove edges, so they cannot
-// reach t now either. Callers must have called grow().
-//
-// rootLen and cutoff implement Yen's candidate-count bound (see spurBound):
-// the search is abandoned — reported as "no path" — as soon as rootLen plus
-// the minimum frontier f-value exceeds cutoff, because the total candidate
-// length (rootLen + spur length) is then provably above the bound and the
-// candidate could never be accepted. cutoff == +Inf disables the pruning.
-func (r *Router) shortestAStar(c *Snapshot, s, t NodeID, pot *Potential, rootLen, cutoff float64) (Path, bool) {
+// reach t now either. seal turns on the sealed-target check below; the
+// spur searches set it. Callers must have called grow().
+func (r *Router) shortestAStar(c *Snapshot, s, t NodeID, pot *Potential, seal bool) (Path, bool) {
 	if !r.g.validNode(s) || !r.g.validNode(t) {
 		return Path{}, false
 	}
@@ -400,38 +402,51 @@ func (r *Router) shortestAStar(c *Snapshot, s, t NodeID, pot *Potential, rootLen
 	if math.IsInf(hs, 1) {
 		return Path{}, false
 	}
-	potT := pot.At(t)
 	r.cur++
 	r.heap = r.heap[:0]
 	r.setDist(s, 0, InvalidEdge)
 	r.heap.push(heapItem{dist: hs, node: s})
 	disabled := c.disabled
 
-	for len(r.heap) > 0 {
-		it := r.heap.pop()
-		// Early exit once t's f-value is frontier-minimal. The reverse
-		// potential is consistent (exact unbanned distances; bans only
-		// remove edges), so every remaining relaxation carries f >= it.dist
-		// >= dist[t]+pot(t) and can never strictly improve a node on t's
-		// prev chain: the path is bitwise the one the reference kernel
-		// returns after grinding through the tied plateau to pop t itself.
-		// dist[t]+potT recomputes exactly the float sum t's heap entry was
-		// pushed with, so the comparison fires on the same pop where the
-		// tie-broken heap would first surface an entry not before t's.
-		// The cutoff clause keeps the exit aligned with the bound abort
-		// below: an over-cutoff finish must report "no path", not a path
-		// the pop-t rule would have abandoned one pop earlier.
-		if r.stamp[t] == r.cur {
-			ft := r.dist[t] + potT
-			if ft <= it.dist && rootLen+ft <= cutoff {
-				return r.buildPath(s, t), true
+	// A spur search whose bans seal t off — t's only way in runs through a
+	// banned root node or next edge — would settle everything reachable
+	// before failing: a whole city when the spur node is the hospital's
+	// access intersection. So when seal is set (the Yen spur searches; an
+	// unbanned search cannot be sealed off by its own bans), a reverse
+	// reachability search from t under the same bans grows one node per
+	// sealStride forward pops. If it runs out without meeting s, no path
+	// exists and the search stops there; once it meets s it stops. It
+	// never touches the forward state, so a path the search returns is
+	// unchanged.
+	r.growBackward()
+	r.curB++
+	r.stampB[t] = r.curB
+	reach := append(r.reach[:0], t)
+	sealed := seal && s != t // t's reverse-reachable set may still exclude s
+
+	for pops := 0; len(r.heap) > 0; pops++ {
+		if sealed && pops%sealStride == 0 {
+			if len(reach) == 0 {
+				r.reach = reach
+				return Path{}, false
+			}
+			x := reach[len(reach)-1]
+			reach = reach[:len(reach)-1]
+			for i, end := c.revOff[x], c.revOff[x+1]; i < end; i++ {
+				e := EdgeID(c.revEdge[i])
+				v := NodeID(c.revFrom[i])
+				if disabled[e] || r.edgeBanned(e) || r.nodeBanned(v) || r.stampB[v] == r.curB {
+					continue
+				}
+				if v == s {
+					sealed = false
+					break
+				}
+				r.stampB[v] = r.curB
+				reach = append(reach, v)
 			}
 		}
-		// Bound abort: pops are non-decreasing, so once the frontier passes
-		// the candidate cutoff no completion can come back under it.
-		if rootLen+it.dist > cutoff {
-			return Path{}, false
-		}
+		it := r.heap.pop()
 		u := it.node
 		if r.stamp[u] != r.cur {
 			continue
@@ -439,6 +454,16 @@ func (r *Router) shortestAStar(c *Snapshot, s, t NodeID, pot *Potential, rootLen
 		gu := r.dist[u]
 		if it.dist > gu+pot.At(u) {
 			continue // stale heap entry
+		}
+		// Return when t itself pops, not on the Dijkstra kernel's earlier
+		// frontier test. In exact arithmetic the potential is consistent,
+		// so a node popped at t's f-value could not improve t; in floats
+		// h(u) and w + h(v) are sums in different orders, a tied node can
+		// reach t an ulp shorter, and only popping t returns the path the
+		// reference A* returns.
+		if u == t {
+			r.reach = reach
+			return r.buildPath(s, t), true
 		}
 		for i, end := c.fwdOff[u], c.fwdOff[u+1]; i < end; i++ {
 			e := EdgeID(c.fwdEdge[i])
@@ -460,6 +485,7 @@ func (r *Router) shortestAStar(c *Snapshot, s, t NodeID, pot *Potential, rootLen
 			}
 		}
 	}
+	r.reach = reach
 	return Path{}, false
 }
 

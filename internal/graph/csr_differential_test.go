@@ -133,12 +133,11 @@ func TestFrozenPointQueriesMatchLive(t *testing.T) {
 	}
 }
 
-// TestFrozenYenMatchesLive checks the full Yen engine — serial and with
-// the parallel spur fan-out forced on, attached snapshot and per-call
-// freeze — path list bit-identical to refKShortest, the same engine over
-// the reference banned-spur A*, in both weight regimes (on ties the two
-// must still agree exactly, even though the representative choice vs
-// other algorithms is free).
+// TestFrozenYenMatchesLive checks the full lazy Yen engine — attached
+// snapshot and per-call freeze — path list bit-identical to refKShortest,
+// eager Yen with Lawler's skip over the reference banned-spur A*, in both
+// weight regimes (on ties the two must still agree exactly, even though
+// the representative choice vs other algorithms is free).
 func TestFrozenYenMatchesLive(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60}
 	prop := func(seed int64) bool {
@@ -151,19 +150,13 @@ func TestFrozenYenMatchesLive(t *testing.T) {
 
 			want := refKShortest(tc.g, tc.w, s, tgt, k, nil)
 
-			for _, workers := range []int{1, 3} {
-				froz := frozenRouter(tc.g, tc.w)
-				froz.SetSpurWorkers(workers)
-				if err := samePathList(froz.KShortest(s, tgt, k, tc.w), want); err != nil {
-					t.Logf("seed %d %s workers=%d: %v", seed, tc.name, workers, err)
-					return false
-				}
-				perCall := NewRouter(tc.g)
-				perCall.SetSpurWorkers(workers)
-				if err := samePathList(perCall.KShortest(s, tgt, k, tc.w), want); err != nil {
-					t.Logf("seed %d %s workers=%d per-call freeze: %v", seed, tc.name, workers, err)
-					return false
-				}
+			if err := samePathList(frozenRouter(tc.g, tc.w).KShortest(s, tgt, k, tc.w), want); err != nil {
+				t.Logf("seed %d %s: %v", seed, tc.name, err)
+				return false
+			}
+			if err := samePathList(NewRouter(tc.g).KShortest(s, tgt, k, tc.w), want); err != nil {
+				t.Logf("seed %d %s per-call freeze: %v", seed, tc.name, err)
+				return false
 			}
 
 			// Exclusivity oracle with a potential cached before cuts: both

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// Race coverage for the two places a frozen snapshot is deliberately
-// shared across goroutines: the Yen parallel spur fan-out (pool routers
-// all holding the coordinator's snapshot) and the parallel Brandes
-// workers. Run with -race in CI; the assertions double as determinism
-// checks under real concurrency.
+// Race coverage for the places a frozen snapshot is deliberately shared
+// across goroutines: routers serving concurrent queries on one snapshot
+// (as the serving shards and the parallel sampler run them) and the
+// parallel Brandes workers. Run with -race in CI; the assertions double
+// as determinism checks under real concurrency.
 
 // TestFrozenSharedSnapshotConcurrentRouters: many routers, one snapshot,
 // concurrent mixed queries (with per-router ban overlays in play) — no
@@ -51,20 +51,36 @@ func TestFrozenSharedSnapshotConcurrentRouters(t *testing.T) {
 	}
 }
 
-// TestFrozenParallelYenRace: the spur fan-out shares the coordinator's
-// snapshot across pool routers; the path list must match the reference
-// engine exactly.
+// TestFrozenParallelYenRace: rank-40 Yen queries on a tied lattice run in
+// parallel, one router per goroutine, all on one shared snapshot and one
+// shared potential; every path list must match the reference engine
+// exactly.
 func TestFrozenParallelYenRace(t *testing.T) {
 	g, w := gridGraph(5, 5)
 	want := refKShortest(g, w, 0, 24, 40, nil)
+	snap := Freeze(g, w)
+	pot := NewRouter(g).ReversePotential(24, w)
 
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
 	for i := 0; i < 4; i++ {
-		r := NewRouter(g)
-		r.UseSnapshot(Freeze(g, w))
-		r.SetSpurWorkers(4)
-		if err := samePathList(r.KShortest(0, 24, 40, w), want); err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := NewRouter(g)
+			r.UseSnapshot(snap)
+			for rep := 0; rep < 3; rep++ {
+				if err := samePathList(r.KShortestWithPotential(0, 24, 40, w, pot), want); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

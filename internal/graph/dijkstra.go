@@ -22,11 +22,13 @@ type Router struct {
 	cur      uint64
 	heap     heap4
 
-	// Backward scratch for the reverse-potential sweep.
+	// Backward scratch for the reverse-potential sweep, and the stack of
+	// the spur search's reverse reachability check (stamped in stampB).
 	distB  []float64
 	stampB []uint64
 	curB   uint64
 	heapB  heap4
+	reach  []NodeID
 
 	nodeBan  []uint64
 	edgeBan  []uint64
@@ -35,12 +37,6 @@ type Router struct {
 	// snap is the attached snapshot (UseSnapshot); nil means every query
 	// freezes the graph for itself.
 	snap *Snapshot
-
-	// Yen spur fan-out: worker routers sharing the query's read-only
-	// snapshot. Bans and scratch arrays are per-router, so concurrent spur
-	// searches on distinct pool routers are race-free by construction.
-	spurWorkers int
-	spurPool    []*Router
 
 	// ctx, when set via SetContext, is polled between spur searches for
 	// cooperative cancellation of k-shortest queries. nil disables checks.

@@ -71,7 +71,7 @@ func TestSharedEigenScoresOffBaseStateComputeFresh(t *testing.T) {
 	tx.Disable(e)
 	off := SharedEdgeEigenScores(g)
 	sameBits(t, "off-base", off, EdgeEigenScores(g, EigenOptions{}))
-	if off[e] != 0 { //lint:allow floateq a disabled edge scores exactly zero
+	if off[e] != 0 {
 		t.Fatalf("disabled edge %d scored %v", e, off[e])
 	}
 	if m := g.eig.Load(); m != nil && m.scores != nil {

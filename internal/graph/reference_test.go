@@ -153,9 +153,8 @@ func (rr *refRouter) shortest(s, t NodeID) (Path, bool) {
 
 // spurAStar is the reference banned-spur A*: goal-directed search from s
 // to t guided by pot under the current bans, pruning nodes pot says cannot
-// reach t, abandoned as soon as rootLen plus the popped f-value passes
-// cutoff (the Yen candidate-count bound), and returning when t pops.
-func (rr *refRouter) spurAStar(s, t NodeID, pot *Potential, rootLen, cutoff float64) (Path, bool) {
+// reach t, and returning when t pops.
+func (rr *refRouter) spurAStar(s, t NodeID, pot *Potential) (Path, bool) {
 	g := rr.g
 	if !g.validNode(s) || !g.validNode(t) || rr.nodeBan[s] || rr.nodeBan[t] {
 		return Path{}, false
@@ -168,9 +167,6 @@ func (rr *refRouter) spurAStar(s, t NodeID, pot *Potential, rootLen, cutoff floa
 	sr.relax(s, 0, InvalidEdge, hs)
 	for sr.q.Len() > 0 {
 		it := heap.Pop(&sr.q).(refItem)
-		if rootLen+it.dist > cutoff {
-			return Path{}, false
-		}
 		u := it.node
 		gu := sr.dist[u]
 		if it.dist > gu+pot.At(u) {
@@ -243,12 +239,14 @@ func (rr *refRouter) reversePotential(t NodeID) *Potential {
 	return &Potential{target: t, h: rr.sweep(t, true)}
 }
 
-// refKShortest is the production Yen engine's control flow — Lawler's
-// deviation index, the candidate-count bound fixed at round entry, spur
-// results merged in spur-index order — over the reference kernels. On
-// tied graphs the choice of representatives depends on that control flow,
-// so this (not the seed yenReference) is what KShortest must match bit for
-// bit on lattices. A nil or wrong-target pot is computed here.
+// refKShortest is eager Yen with Lawler's deviation-index skip over the
+// reference kernels: every accepted path's full deviation round runs the
+// moment it is accepted, spur results enter a string-keyed seen set in
+// spur-index order (the first generator of a path wins), and the best
+// candidate by pathLess is accepted next. On tied graphs the choice of
+// representatives depends on that control flow, so this (not the seed
+// yenReference, which has no Lawler skip) is what KShortest must match
+// bit for bit on lattices. A nil or wrong-target pot is computed here.
 func refKShortest(g *Graph, w WeightFunc, s, t NodeID, k int, pot *Potential) []Path {
 	if k <= 0 {
 		return nil
@@ -257,23 +255,21 @@ func refKShortest(g *Graph, w WeightFunc, s, t NodeID, k int, pot *Potential) []
 	if pot == nil || pot.Target() != t {
 		pot = rr.reversePotential(t)
 	}
-	first, ok := rr.spurAStar(s, t, pot, 0, math.Inf(1))
+	first, ok := rr.spurAStar(s, t, pot)
 	if !ok {
 		return nil
 	}
 	accepted := []Path{first}
 	devs := []int{0}
-	seen := pathSet{}
-	seen.add(first.Edges)
-	var cands candidateHeap
-	bnd := &spurBound{limit: k - 1}
+	seen := map[string]bool{first.Key(): true}
+	var cands refDevHeap
 	for len(accepted) < k {
 		last := len(accepted) - 1
-		rr.spurRound(accepted[last], devs[last], accepted, t, pot, seen, &cands, bnd)
+		rr.spurRound(accepted[last], devs[last], accepted, t, pot, seen, &cands)
 		if cands.Len() == 0 {
 			break
 		}
-		best := heap.Pop(&cands).(candidate)
+		best := heap.Pop(&cands).(refDevCand)
 		accepted = append(accepted, best.path)
 		devs = append(devs, best.dev)
 	}
@@ -288,50 +284,74 @@ func refBestAlternativeWithPotential(g *Graph, w WeightFunc, s, t NodeID, avoid 
 	if pot == nil || pot.Target() != t {
 		pot = rr.reversePotential(t)
 	}
-	first, ok := rr.spurAStar(s, t, pot, 0, math.Inf(1))
+	first, ok := rr.spurAStar(s, t, pot)
 	if !ok {
 		return Path{}, false
 	}
 	if !first.SameEdges(avoid) {
 		return first, true
 	}
-	seen := pathSet{}
-	seen.add(avoid.Edges)
-	var cands candidateHeap
-	rr.spurRound(avoid, 0, []Path{avoid}, t, pot, seen, &cands, nil)
+	seen := map[string]bool{avoid.Key(): true}
+	var cands refDevHeap
+	rr.spurRound(avoid, 0, []Path{avoid}, t, pot, seen, &cands)
 	if cands.Len() == 0 {
 		return Path{}, false
 	}
-	return heap.Pop(&cands).(candidate).path, true
+	return heap.Pop(&cands).(refDevCand).path, true
 }
 
 // spurRound is one serial Yen deviation round over base from spur index
-// start, with the bound's cutoff (if any) read once at entry.
-func (rr *refRouter) spurRound(base Path, start int, accepted []Path, t NodeID, pot *Potential, seen pathSet, cands *candidateHeap, bnd *spurBound) {
-	cut := math.Inf(1)
-	if bnd != nil {
-		cut = bnd.cutoff()
-	}
+// start: every spur search runs, in spur-index order.
+func (rr *refRouter) spurRound(base Path, start int, accepted []Path, t NodeID, pot *Potential, seen map[string]bool, cands *refDevHeap) {
 	rootLen := 0.0
 	for j := 0; j < start; j++ {
 		rootLen += rr.w(base.Edges[j])
 	}
 	for i := start; i < len(base.Edges); i++ {
-		if rootLen+pot.At(base.Nodes[i]) <= cut {
-			rr.banYen(base, i, accepted)
-			if spur, ok := rr.spurAStar(base.Nodes[i], t, pot, rootLen, cut); ok {
-				total := concatSpur(base, i, rootLen, spur)
-				if seen.add(total.Edges) {
-					heap.Push(cands, candidate{path: total, dev: i})
-					if bnd != nil {
-						bnd.add(total.Length)
-					}
-				}
+		rr.banYen(base, i, accepted)
+		if spur, ok := rr.spurAStar(base.Nodes[i], t, pot); ok {
+			total := concatSpur(base, i, rootLen, spur)
+			if key := total.Key(); !seen[key] {
+				seen[key] = true
+				heap.Push(cands, refDevCand{path: total, dev: i})
 			}
 		}
 		rootLen += rr.w(base.Edges[i])
 	}
 	rr.clearBans()
+}
+
+// refDevCand is a reference Yen candidate with its deviation index.
+type refDevCand struct {
+	path Path
+	dev  int
+}
+
+// refDevHeap is a container/heap of candidates in pathLess order.
+type refDevHeap []refDevCand
+
+func (h refDevHeap) Len() int           { return len(h) }
+func (h refDevHeap) Less(i, j int) bool { return pathLess(h[i].path, h[j].path) }
+func (h refDevHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refDevHeap) Push(x any)        { *h = append(*h, x.(refDevCand)) }
+func (h *refDevHeap) Pop() any {
+	old := *h
+	c := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return c
+}
+
+// samePrefix reports whether p and q share their first i edges.
+func samePrefix(p, q Path, i int) bool {
+	if len(p.Edges) < i || len(q.Edges) < i {
+		return false
+	}
+	for j := 0; j < i; j++ {
+		if p.Edges[j] != q.Edges[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // EdgeBetweenness is the serial Brandes reference for BetweennessParallel

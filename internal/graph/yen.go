@@ -3,12 +3,11 @@ package graph
 import (
 	"container/heap"
 	"math"
-	"runtime"
-	"sync"
 )
 
-// The Yen engine layers four optimisations over the textbook algorithm,
-// all output-preserving (see yen_differential_test.go):
+// The Yen engine layers three optimisations over the textbook algorithm,
+// all output-preserving (see yen_differential_test.go and
+// FuzzKShortestMatchesReference):
 //
 //  1. Reverse-potential A*: one reverse Dijkstra from t yields exact
 //     distances-to-target h(v); every spur search is then a goal-directed
@@ -17,132 +16,30 @@ import (
 //  2. Lawler's deviation-index skip: spur enumeration for an accepted path
 //     starts at the index where it deviated from its parent; deviations
 //     before that index were already generated during the parent's round.
-//  3. Parallel spur fan-out: within a round, spur searches are distributed
-//     over a pool of per-goroutine Routers sharing the query's read-only
-//     snapshot (bans and scratch arrays are router-local). Results are merged
-//     serially in spur-index order, so output is identical to a serial run.
-//  4. Candidate-count bound: once k-1 candidates at or below length X have
-//     ever been generated, no candidate strictly longer than X can still be
-//     accepted, so spur searches provably above X are skipped outright or
-//     abandoned the moment their frontier passes it (see spurBound).
+//  3. Lazy deviations (Kurz & Mutzel, ISAAC 2016): accepting a path runs
+//     none of its spur searches. Each spur index becomes a deferred entry
+//     carrying a one-hop lower bound on the candidate it would produce,
+//     and a spur search runs only when its bound reaches the best finished
+//     candidate (see yenRun.next). At rank 100 on the paper's cities most
+//     deferred entries are never searched.
+//
+// The lazy engine returns the eager engine's paths bit for bit, ties
+// included, because a deferred spur is searched under exactly the bans
+// the eager round gave it (yenRun.materialize) and a path two spurs
+// produce keeps the generator the eager engine ran first (yenRun.offer).
 
-// Spur fan-out tuning: the default worker count is GOMAXPROCS capped at
-// maxSpurWorkers, and rounds with fewer than minParallelSpurs spur nodes
-// run serially (goroutine dispatch would cost more than it saves).
-const (
-	maxSpurWorkers   = 8
-	minParallelSpurs = 4
-)
-
-// SetSpurWorkers sets the number of goroutines KShortest and
-// BestAlternative spread spur searches across. n == 1 forces serial
-// operation; n <= 0 restores the default (GOMAXPROCS capped at 8). Spur
-// workers read weights only from the query's snapshot, never from the
-// WeightFunc, so the WeightFunc need not be safe for concurrent calls.
-func (r *Router) SetSpurWorkers(n int) { r.spurWorkers = n }
-
-// spurParallelism returns the worker count for a round with the given
-// number of spur searches.
-func (r *Router) spurParallelism(tasks int) int {
-	if tasks < minParallelSpurs {
-		return 1
-	}
-	workers := r.spurWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > maxSpurWorkers {
-			workers = maxSpurWorkers
-		}
-	}
-	if workers > tasks {
-		workers = tasks
-	}
-	return workers
-}
-
-// spurBound tracks the k-1 smallest candidate lengths ever pushed onto the
-// candidate heap (a bounded max-heap), where k-1 is the number of accepts
-// that can still come from candidates. Once full, its max X is a proof
-// obligation killer: a candidate strictly longer than X can never be
-// accepted — at the moment it would be popped, at least k-1 strictly
-// shorter candidates must each have consumed one of the at most k-1
-// accept-pops first. Spur searches whose best possible completion already
-// exceeds cutoff() are therefore skipped or abandoned without changing the
-// returned top-k. The cutoff carries a relative slack of 1e-9 so that
-// ulp-level differences between a frontier f-value and the eventually
-// materialized candidate length can never prune a candidate at exactly X.
-type spurBound struct {
-	limit int
-	h     []float64 // max-heap of the limit smallest lengths seen
-}
-
-// add records one pushed candidate length.
-func (b *spurBound) add(l float64) {
-	if b.limit <= 0 {
-		return
-	}
-	if len(b.h) < b.limit {
-		b.h = append(b.h, l)
-		for i := len(b.h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if b.h[p] >= b.h[i] {
-				break
-			}
-			b.h[p], b.h[i] = b.h[i], b.h[p]
-			i = p
-		}
-		return
-	}
-	if l >= b.h[0] {
-		return
-	}
-	b.h[0] = l
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= len(b.h) {
-			break
-		}
-		if c+1 < len(b.h) && b.h[c+1] > b.h[c] {
-			c++
-		}
-		if b.h[i] >= b.h[c] {
-			break
-		}
-		b.h[i], b.h[c] = b.h[c], b.h[i]
-		i = c
-	}
-}
-
-// cutoff returns the pruning threshold for the next round: +Inf while
-// fewer than limit candidates exist (nothing may be pruned yet), else the
-// limit-th smallest length with relative slack.
-func (b *spurBound) cutoff() float64 {
-	if b.limit <= 0 || len(b.h) < b.limit {
-		return math.Inf(1)
-	}
-	x := b.h[0]
-	return x + 1e-9*x
-}
-
-// spurRouter returns the i-th pool router, creating and growing it lazily.
-// Pool routers share r's graph; the coordinator hands them the query's
-// snapshot with each spur search (it is immutable while the round runs).
-// Everything mutable — bans, scratch, heaps — is per-router.
-func (r *Router) spurRouter(i int) *Router {
-	for len(r.spurPool) <= i {
-		r.spurPool = append(r.spurPool, NewRouter(r.g))
-	}
-	wr := r.spurPool[i]
-	wr.grow()
-	return wr
-}
+// boundSlack is the relative slack on the pop rule. A deferred bound and a
+// finished length sum the same edge weights in different orders, so a
+// bound can exceed the length of the very candidate it bounds by a few
+// ulps; the slack keeps such a spur searched before any path of that
+// length is accepted.
+const boundSlack = 1e-9
 
 // KShortest returns up to k loopless (simple) paths from s to t in
 // non-decreasing order of weight under w, using Yen's algorithm with
-// Lawler's improvement, goal-directed spur searches, and an optional
-// parallel spur fan-out (see SetSpurWorkers). The first path is the
-// shortest path. Fewer than k paths are returned when the graph does not
-// contain k distinct simple paths.
+// Lawler's improvement, goal-directed spur searches and lazy deviations.
+// The first path is the shortest path. Fewer than k paths are returned
+// when the graph does not contain k distinct simple paths.
 //
 // The paper uses path rank 100 (and 200 for Table X): the alternative route
 // p* the attacker forces is the 100th-shortest path, so this routine is the
@@ -169,41 +66,23 @@ func (r *Router) KShortestWithPotential(s, t NodeID, k int, w WeightFunc, pot *P
 	if pot == nil || pot.Target() != t {
 		pot = r.reversePotential(c, t)
 	}
-	return r.kShortest(c, s, t, k, pot)
-}
-
-// kShortest is the Yen engine behind KShortest and KShortestWithPotential.
-// Bans are already cleared and scratch arrays grown; pot is a valid
-// reverse potential for t under c's weights.
-func (r *Router) kShortest(c *Snapshot, s, t NodeID, k int, pot *Potential) []Path {
-	first, ok := r.shortestAStar(c, s, t, pot, 0, math.Inf(1))
+	first, ok := r.shortestAStar(c, s, t, pot, false)
 	if !ok {
 		return nil
 	}
-	accepted := []Path{first}
-	devs := []int{0}
-	seen := pathSet{}
-	seen.add(first.Edges)
-	var cands candidateHeap
-	// k-1 accepts beyond the first path can come from candidates; the
-	// bound's cutoff is re-read once per round so serial and parallel
-	// rounds prune identically.
-	bnd := &spurBound{limit: k - 1}
-
-	for len(accepted) < k {
+	y := newYenRun(r, c, t, pot, first)
+	for len(y.accepted) < k {
 		if r.interrupted() {
 			break // cancelled: return what we have (see SetContext)
 		}
-		last := len(accepted) - 1
-		r.spurCandidates(c, accepted[last], devs[last], accepted, t, pot, seen, &cands, bnd)
-		if cands.Len() == 0 {
+		best := y.next()
+		if best == nil {
 			break
 		}
-		best := heap.Pop(&cands).(candidate)
-		accepted = append(accepted, best.path)
-		devs = append(devs, best.dev)
+		y.accept(best)
 	}
-	return accepted
+	r.clearBans()
+	return y.accepted
 }
 
 // BestAlternative returns the minimum-weight s->t path whose edge sequence
@@ -226,6 +105,10 @@ func (r *Router) BestAlternative(s, t NodeID, w WeightFunc, avoid Path) (Path, b
 // attack loops exploit exactly this: they compute the potential once on the
 // unmodified graph and reuse it while candidate cuts are applied, because
 // cuts only disable edges. A nil or mismatched-target pot is recomputed.
+//
+// The deviation round over avoid is lazy like KShortest's: its spur
+// searches run in lower-bound order and stop once the next bound exceeds
+// the best candidate found, which is the round's minimum either way.
 func (r *Router) BestAlternativeWithPotential(s, t NodeID, w WeightFunc, avoid Path, pot *Potential) (Path, bool) {
 	r.grow()
 	r.clearBans()
@@ -233,167 +116,296 @@ func (r *Router) BestAlternativeWithPotential(s, t NodeID, w WeightFunc, avoid P
 	if pot == nil || pot.Target() != t {
 		pot = r.reversePotential(c, t)
 	}
-	first, ok := r.shortestAStar(c, s, t, pot, 0, math.Inf(1))
+	first, ok := r.shortestAStar(c, s, t, pot, false)
 	if !ok {
 		return Path{}, false
 	}
 	if !first.SameEdges(avoid) {
 		return first, true
 	}
-	seen := pathSet{}
-	seen.add(avoid.Edges)
-	var cands candidateHeap
-	r.spurCandidates(c, avoid, 0, []Path{avoid}, t, pot, seen, &cands, nil)
-	if cands.Len() == 0 {
+	best := newYenRun(r, c, t, pot, avoid).next()
+	r.clearBans()
+	if best == nil {
 		return Path{}, false
 	}
-	return heap.Pop(&cands).(candidate).path, true
+	return best.path, true
 }
 
-// spurCandidates runs one Yen deviation round over base: for every spur
-// node from index start on, ban the root-path nodes and the next edges of
-// every accepted path sharing the root, and search for the best spur path
-// to t. New candidates (not in seen) are pushed onto cands and recorded in
-// seen, so repeated generation of the same deviation across rounds is
-// suppressed.
-//
-// start is Lawler's deviation index: spur indices before the point where
-// base split from its own parent were already enumerated during the
-// parent's round (base shares that prefix with its parent, so the root path
-// and ban context coincide) and would only regenerate suppressed
-// duplicates.
-//
-// bnd, when non-nil, is the candidate-count bound. Its cutoff is read once
-// at round entry — never mid-round — so every spur search of the round
-// (serial or parallel) prunes against the same threshold. A spur search
-// whose root length plus the exact distance-to-target of its spur node
-// already exceeds the cutoff is skipped before any ban setup; the rest pass
-// the cutoff down so the A* can abandon itself mid-flight.
-func (r *Router) spurCandidates(c *Snapshot, base Path, start int, accepted []Path, t NodeID, pot *Potential, seen pathSet, cands *candidateHeap, bnd *spurBound) {
-	n := len(base.Edges)
-	if start < 0 {
-		start = 0
-	}
-	cut := math.Inf(1)
-	if bnd != nil {
-		cut = bnd.cutoff()
-	}
-	if workers := r.spurParallelism(n - start); workers > 1 {
-		r.spurCandidatesParallel(c, base, start, accepted, t, pot, seen, cands, bnd, cut, workers)
-		return
-	}
-	rootLen := 0.0
-	for j := 0; j < start; j++ {
-		rootLen += c.w[base.Edges[j]]
-	}
-	for i := start; i < n; i++ {
-		if r.interrupted() {
-			break // cancelled mid-round: candidates so far are still valid
-		}
-		if rootLen+pot.At(base.Nodes[i]) <= cut {
-			if spur, ok := r.spurSearch(c, base, i, accepted, t, pot, rootLen, cut); ok {
-				total := concatSpur(base, i, rootLen, spur)
-				if seen.add(total.Edges) {
-					heap.Push(cands, candidate{path: total, dev: i})
-					if bnd != nil {
-						bnd.add(total.Length)
-					}
-				}
-			}
-		}
-		rootLen += c.w[base.Edges[i]]
-	}
-	r.clearBans()
+// yenRun is the state of one lazy Yen enumeration: the accepted paths,
+// the prefix tree over them, the finished candidates, and the deferred
+// spur searches.
+type yenRun struct {
+	r   *Router
+	c   *Snapshot
+	t   NodeID
+	pot *Potential
+
+	accepted []Path
+	// depth[a][i] is the prefix-tree node of accepted[a]'s first i edges.
+	depth [][]int32
+	tree  prefixTree
+
+	// seen holds every finished candidate and accepted path by edge
+	// sequence (a 64-bit hash keys buckets of exact sequences).
+	seen     map[uint64][]*yenCand
+	finished candHeap
+	deferred spurHeap
 }
 
-// spurCandidatesParallel distributes the spur searches of one round across
-// pool routers. Every goroutine works on its own Router (private bans and
-// scratch arrays) against the shared read-only snapshot, writing results into
-// disjoint slice slots; the seen-set, heap, and bound updates then run
-// serially in spur-index order. The cutoff was fixed by the caller before
-// the fan-out, so every worker prunes exactly as the serial loop would and
-// the accepted output is identical to a serial run.
-func (r *Router) spurCandidatesParallel(c *Snapshot, base Path, start int, accepted []Path, t NodeID, pot *Potential, seen pathSet, cands *candidateHeap, bnd *spurBound, cut float64, workers int) {
-	n := len(base.Edges)
-	// prefix[i] is the weight of base's first i edges, summed left to right
-	// exactly as the serial accumulation would, so Lengths are bit-equal.
-	prefix := make([]float64, n+1)
-	for i := 0; i < n; i++ {
-		prefix[i+1] = prefix[i] + c.w[base.Edges[i]]
-	}
+// yenCand is a finished candidate: a materialized path and its generator,
+// the accept index of the base path and the spur index it deviates at.
+// The spur index is also Lawler's deviation index for the path's own
+// spurs once it is accepted.
+type yenCand struct {
+	path     Path
+	base     int
+	dev      int
+	dead     bool // superseded by the same path from an earlier generator
+	accepted bool
+}
 
-	spurs := make([]Path, n-start)
-	found := make([]bool, n-start)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wr := r.spurRouter(wi)
-		wg.Add(1)
-		go func(wr *Router, offset int) {
-			defer wg.Done()
-			for i := start + offset; i < n; i += workers {
-				if r.interrupted() {
-					break // workers only read r.ctx; no race with the coordinator
-				}
-				if prefix[i]+pot.At(base.Nodes[i]) > cut {
-					continue // same pre-skip as the serial loop
-				}
-				if spur, ok := wr.spurSearch(c, base, i, accepted, t, pot, prefix[i], cut); ok {
-					spurs[i-start] = spur
-					found[i-start] = true
-				}
+// newYenRun starts an enumeration whose first accepted path is first
+// (deviation index 0): the shortest path for KShortest, the path to avoid
+// for BestAlternative.
+func newYenRun(r *Router, c *Snapshot, t NodeID, pot *Potential, first Path) *yenRun {
+	cand := &yenCand{path: first}
+	y := &yenRun{r: r, c: c, t: t, pot: pot, seen: map[uint64][]*yenCand{hashEdges(first.Edges): {cand}}}
+	y.accept(cand)
+	return y
+}
+
+// next returns the next path to accept, or nil when the enumeration is
+// exhausted or cancelled. The pop rule: while the least deferred bound is
+// within boundSlack of the best finished length, materialize that spur;
+// then the best finished candidate is the eager engine's next accept,
+// because every spur still deferred would produce a strictly longer path.
+func (y *yenRun) next() *yenCand {
+	for {
+		best := y.finished.best()
+		if len(y.deferred) > 0 && (best == nil || y.deferred[0].bound <= best.path.Length+boundSlack*best.path.Length) {
+			if y.r.interrupted() {
+				return nil // cancelled (see SetContext)
 			}
-			wr.clearBans()
-		}(wr, wi)
-	}
-	wg.Wait()
-
-	for i := start; i < n; i++ {
-		if !found[i-start] {
+			y.materialize(y.deferred.pop())
 			continue
 		}
-		total := concatSpur(base, i, prefix[i], spurs[i-start])
-		if seen.add(total.Edges) {
-			heap.Push(cands, candidate{path: total, dev: i})
-			if bnd != nil {
-				bnd.add(total.Length)
-			}
+		if best != nil {
+			heap.Pop(&y.finished)
 		}
+		return best
 	}
 }
 
-// spurSearch establishes the Yen ban context for spur index i on r (the
-// root nodes before the spur node, and the next edge of every accepted path
-// sharing base's root) and runs the goal-directed search from the spur node
-// to t. rootLen and cut feed the candidate-count bound (see spurBound);
-// cut == +Inf disables it.
-func (r *Router) spurSearch(c *Snapshot, base Path, i int, accepted []Path, t NodeID, pot *Potential, rootLen, cut float64) (Path, bool) {
-	spurNode := base.Nodes[i]
-	if math.IsInf(pot.At(spurNode), 1) {
-		return Path{}, false // spur node cannot reach t even unbanned
-	}
+// accept appends cand's path to the accepted list and defers its spur
+// searches from Lawler's deviation index on. Each deferred entry carries
+// the root length and the bound rootLen + min(w(v,u) + h(u)) over the spur
+// node v's out-arcs that the spur search may take: enabled, not a banned
+// next edge (a prefix-tree child of the root), and not into a root node.
+// The root nodes are banned on the router as the loop walks the path,
+// which makes each node test O(1).
+func (y *yenRun) accept(cand *yenCand) {
+	cand.accepted = true
+	a := len(y.accepted)
+	base := cand.path
+	y.accepted = append(y.accepted, base)
+	y.depth = append(y.depth, y.tree.insert(base.Edges))
+
+	r, c, pot := y.r, y.c, y.pot
 	r.clearBans()
-	for _, p := range accepted {
-		if i < len(p.Edges) && samePrefix(p, base, i) {
-			r.banEdge(p.Edges[i])
-		}
+	rootLen := 0.0
+	for j := 0; j < cand.dev; j++ {
+		r.banNode(base.Nodes[j])
+		rootLen += c.w[base.Edges[j]]
 	}
+	for i := cand.dev; i < len(base.Edges); i++ {
+		v := base.Nodes[i]
+		if !math.IsInf(pot.At(v), 1) {
+			kids := y.tree.kids[y.depth[a][i]]
+			lb := math.Inf(1)
+			for slot, end := c.fwdOff[v], c.fwdOff[v+1]; slot < end; slot++ {
+				e := EdgeID(c.fwdEdge[slot])
+				if c.disabled[e] || kids.has(e) || r.nodeBanned(NodeID(c.fwdTo[slot])) {
+					continue
+				}
+				if x := c.fwdW[slot] + pot.At(NodeID(c.fwdTo[slot])); x < lb {
+					lb = x
+				}
+			}
+			if !math.IsInf(lb, 1) {
+				y.deferred.push(deferredSpur{bound: rootLen + lb, rootLen: rootLen, base: int32(a), spur: int32(i)})
+			}
+		}
+		r.banNode(v)
+		rootLen += c.w[base.Edges[i]]
+	}
+}
+
+// materialize runs one deferred spur search under the ban context the
+// eager engine gave it: the root nodes before the spur node, and the next
+// edges of the paths accepted up to and including its base that share
+// the base's root. Those are all of the root's prefix-tree children: a
+// path accepted after the base with the same root and a new next edge is
+// a path this spur search may return, so its length is at least this
+// spur's bound, and the pop rule accepts no path while a bound within
+// boundSlack of its length is still deferred.
+func (y *yenRun) materialize(d deferredSpur) {
+	r := y.r
+	a, i := int(d.base), int(d.spur)
+	base := y.accepted[a]
+	r.clearBans()
 	for j := 0; j < i; j++ {
 		r.banNode(base.Nodes[j])
 	}
-	return r.shortestAStar(c, spurNode, t, pot, rootLen, cut)
+	for _, k := range y.tree.kids[y.depth[a][i]] {
+		r.banEdge(k.edge)
+	}
+	if spur, ok := r.shortestAStar(y.c, base.Nodes[i], y.t, y.pot, true); ok {
+		y.offer(&yenCand{path: concatSpur(base, i, d.rootLen, spur), base: a, dev: i})
+	}
 }
 
-// samePrefix reports whether p and q share their first i edges.
-func samePrefix(p, q Path, i int) bool {
-	if len(p.Edges) < i || len(q.Edges) < i {
-		return false
+// offer adds a materialized candidate unless its path is already known.
+// Two spurs can produce the same path, in either order. The eager engine
+// keeps the one it ran first — the smaller (base, spur index) — and both
+// its Length bits (the root and spur sums split at the spur index) and its
+// deviation index depend on which, so an earlier generator replaces a
+// later one here. An accepted path is never replaced: every spur that
+// could produce it had a bound within slack of its length and was
+// materialized before it was accepted.
+func (y *yenRun) offer(cand *yenCand) {
+	h := hashEdges(cand.path.Edges)
+	bucket := y.seen[h]
+	for idx, have := range bucket {
+		if !edgesEqual(have.path.Edges, cand.path.Edges) {
+			continue
+		}
+		if have.accepted || have.base < cand.base || have.base == cand.base && have.dev < cand.dev {
+			return
+		}
+		have.dead = true
+		bucket[idx] = cand
+		heap.Push(&y.finished, cand)
+		return
 	}
-	for j := 0; j < i; j++ {
-		if p.Edges[j] != q.Edges[j] {
-			return false
+	y.seen[h] = append(bucket, cand)
+	heap.Push(&y.finished, cand)
+}
+
+// prefixTree is a trie over the accepted paths' edge sequences. The
+// children of the node for a root prefix are the next edges of every
+// accepted path sharing that root — Yen's banned edges for a spur there.
+type prefixTree struct {
+	kids []trieKids // per node; node 0 is the empty prefix
+}
+
+type trieKid struct {
+	edge EdgeID
+	node int32
+}
+
+type trieKids []trieKid
+
+// has reports whether e is one of the children.
+func (ks trieKids) has(e EdgeID) bool {
+	for _, k := range ks {
+		if k.edge == e {
+			return true
 		}
 	}
-	return true
+	return false
+}
+
+// insert adds an accepted path and returns its node at every depth
+// (len(edges)+1 entries, the root first).
+func (pt *prefixTree) insert(edges []EdgeID) []int32 {
+	if len(pt.kids) == 0 {
+		pt.kids = append(pt.kids, nil)
+	}
+	nodes := make([]int32, len(edges)+1)
+	cur := int32(0)
+	for j, e := range edges {
+		next := int32(-1)
+		for _, k := range pt.kids[cur] {
+			if k.edge == e {
+				next = k.node
+				break
+			}
+		}
+		if next < 0 {
+			next = int32(len(pt.kids))
+			pt.kids = append(pt.kids, nil)
+			pt.kids[cur] = append(pt.kids[cur], trieKid{edge: e, node: next})
+		}
+		cur = next
+		nodes[j+1] = cur
+	}
+	return nodes
+}
+
+// deferredSpur is a spur search not yet run: spur index spur of accepted
+// path base, with the root length and the lower bound on its candidate.
+type deferredSpur struct {
+	bound   float64
+	rootLen float64
+	base    int32
+	spur    int32
+}
+
+func (a deferredSpur) less(b deferredSpur) bool {
+	if a.bound != b.bound { //lint:allow floateq heap order must be exact; equal bounds fall through to the generator tie-break
+		return a.bound < b.bound
+	}
+	if a.base != b.base {
+		return a.base < b.base
+	}
+	return a.spur < b.spur
+}
+
+// spurHeap is a binary min-heap of deferred spurs in bound order.
+type spurHeap []deferredSpur
+
+func (h *spurHeap) push(d deferredSpur) {
+	*h = append(*h, d)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !d.less(s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = d
+}
+
+func (h *spurHeap) pop() deferredSpur {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	d := s[last]
+	s = s[:last]
+	*h = s
+	if last == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && s[c+1].less(s[c]) {
+			c++
+		}
+		if !s[c].less(d) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = d
+	return top
 }
 
 // concatSpur joins base's first i edges (with precomputed weight rootLen)
@@ -408,25 +420,6 @@ func concatSpur(base Path, i int, rootLen float64, spur Path) Path {
 	return Path{Nodes: nodes, Edges: edges, Length: rootLen + spur.Length}
 }
 
-// pathSet is the candidate de-duplication set: a 64-bit hash keys buckets
-// of exact edge sequences, replacing the per-candidate string key (which
-// allocated 4 bytes per edge per probe). A hash collision degrades to a
-// linear compare, never a wrong dedup decision. Stored slices are retained;
-// callers must not mutate them afterwards.
-type pathSet map[uint64][][]EdgeID
-
-// add inserts the edge sequence and reports whether it was absent.
-func (s pathSet) add(edges []EdgeID) bool {
-	h := hashEdges(edges)
-	for _, have := range s[h] {
-		if edgesEqual(have, edges) {
-			return false
-		}
-	}
-	s[h] = append(s[h], edges)
-	return true
-}
-
 func edgesEqual(a, b []EdgeID) bool {
 	if len(a) != len(b) {
 		return false
@@ -439,21 +432,26 @@ func edgesEqual(a, b []EdgeID) bool {
 	return true
 }
 
-// candidate pairs a Yen candidate path with the spur index where it
-// deviates from the accepted path it was generated from (Lawler's
-// deviation index: spur enumeration resumes there if it is accepted).
-type candidate struct {
-	path Path
-	dev  int
+// candHeap orders finished candidates by pathLess, so results are
+// deterministic across runs. Superseded entries stay in the heap, marked
+// dead, and are dropped when they surface.
+type candHeap []*yenCand
+
+// best returns the least live candidate without removing it, nil when
+// none is left.
+func (h *candHeap) best() *yenCand {
+	for len(*h) > 0 && (*h)[0].dead {
+		heap.Pop(h)
+	}
+	if len(*h) == 0 {
+		return nil
+	}
+	return (*h)[0]
 }
 
-// candidateHeap orders candidate paths by length, then hop count, then edge
-// sequence so results are deterministic across runs.
-type candidateHeap []candidate
+func (h candHeap) Len() int { return len(h) }
 
-func (h candidateHeap) Len() int { return len(h) }
-
-func (h candidateHeap) Less(i, j int) bool { return pathLess(h[i].path, h[j].path) }
+func (h candHeap) Less(i, j int) bool { return pathLess(h[i].path, h[j].path) }
 
 // pathLess is the deterministic candidate order: length, then hop count,
 // then lexicographic edge sequence.
@@ -472,11 +470,11 @@ func pathLess(a, b Path) bool {
 	return false
 }
 
-func (h candidateHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h candHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *candidateHeap) Push(x any) { *h = append(*h, x.(candidate)) }
+func (h *candHeap) Push(x any) { *h = append(*h, x.(*yenCand)) }
 
-func (h *candidateHeap) Pop() any {
+func (h *candHeap) Pop() any {
 	old := *h
 	n := len(old)
 	p := old[n-1]

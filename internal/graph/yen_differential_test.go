@@ -155,8 +155,8 @@ func samePathList(got, want []Path) error {
 
 // TestKShortestMatchesReference is the differential property test: on
 // random graphs (including disabled edges and unreachable targets) the
-// optimized engine — serial and with the parallel spur fan-out forced on —
-// returns the exact path list of the reference implementation.
+// optimized engine returns the exact path list of the reference
+// implementation.
 func TestKShortestMatchesReference(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 120}
 	prop := func(seed int64) bool {
@@ -169,17 +169,8 @@ func TestKShortestMatchesReference(t *testing.T) {
 
 		want := yenReference(g, s, tgt, k, w)
 
-		serial := NewRouter(g)
-		serial.SetSpurWorkers(1)
-		if err := samePathList(serial.KShortest(s, tgt, k, w), want); err != nil {
-			t.Logf("seed %d (serial, s=%d t=%d k=%d): %v", seed, s, tgt, k, err)
-			return false
-		}
-
-		parallel := NewRouter(g)
-		parallel.SetSpurWorkers(3)
-		if err := samePathList(parallel.KShortest(s, tgt, k, w), want); err != nil {
-			t.Logf("seed %d (parallel, s=%d t=%d k=%d): %v", seed, s, tgt, k, err)
+		if err := samePathList(NewRouter(g).KShortest(s, tgt, k, w), want); err != nil {
+			t.Logf("seed %d (s=%d t=%d k=%d): %v", seed, s, tgt, k, err)
 			return false
 		}
 		return true
@@ -235,28 +226,25 @@ func TestKShortestTiedWeightsLengths(t *testing.T) {
 	g, w := gridGraph(4, 5)
 	want := yenReference(g, 0, 19, 60, w)
 
-	for _, workers := range []int{1, 4} {
-		r := NewRouter(g)
-		r.SetSpurWorkers(workers)
-		got := r.KShortest(0, 19, 60, w)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: got %d paths, want %d", workers, len(got), len(want))
+	got := NewRouter(g).KShortest(0, 19, 60, w)
+	if len(got) != len(want) {
+		t.Fatalf("got %d paths, want %d", len(got), len(want))
+	}
+	seen := map[string]bool{}
+	for i, p := range got {
+		if p.Length != want[i].Length {
+			t.Errorf("path %d length %v, want %v", i, p.Length, want[i].Length)
 		}
-		seen := pathSet{}
-		for i, p := range got {
-			if p.Length != want[i].Length {
-				t.Errorf("workers=%d: path %d length %v, want %v", workers, i, p.Length, want[i].Length)
-			}
-			if !p.IsSimple() || p.Source() != 0 || p.Target() != 19 {
-				t.Errorf("workers=%d: path %d malformed: %v", workers, i, p)
-			}
-			if err := p.Validate(g); err != nil {
-				t.Errorf("workers=%d: path %d invalid: %v", workers, i, err)
-			}
-			if !seen.add(p.Edges) {
-				t.Errorf("workers=%d: path %d duplicates an earlier path", workers, i)
-			}
+		if !p.IsSimple() || p.Source() != 0 || p.Target() != 19 {
+			t.Errorf("path %d malformed: %v", i, p)
 		}
+		if err := p.Validate(g); err != nil {
+			t.Errorf("path %d invalid: %v", i, err)
+		}
+		if seen[p.Key()] {
+			t.Errorf("path %d duplicates an earlier path", i)
+		}
+		seen[p.Key()] = true
 	}
 }
 

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -202,74 +201,83 @@ func allSimplePathLengths(g *Graph, s, t NodeID, weights []float64) []float64 {
 	return out
 }
 
-// TestSpurBound exercises the candidate-count bound's bookkeeping directly:
-// the cutoff must stay +Inf until limit lengths are recorded, then track the
-// limit-th smallest length ever added (with its relative slack), regardless
-// of insertion order.
-func TestSpurBound(t *testing.T) {
-	b := &spurBound{limit: 3}
-	if !math.IsInf(b.cutoff(), 1) {
-		t.Fatalf("empty bound cutoff = %v, want +Inf", b.cutoff())
-	}
-	b.add(9)
-	b.add(5)
-	if !math.IsInf(b.cutoff(), 1) {
-		t.Fatalf("underfull bound cutoff = %v, want +Inf", b.cutoff())
-	}
-	b.add(7)
-	if got := b.cutoff(); got < 9 || got > 9*(1+2e-9) {
-		t.Fatalf("cutoff = %v, want 9 plus relative slack", got)
-	}
-	// A shorter length displaces the current max; longer ones are ignored.
-	b.add(1)
-	if got := b.cutoff(); got < 7 || got > 7*(1+2e-9) {
-		t.Fatalf("cutoff after displacing 9 = %v, want ~7", got)
-	}
-	b.add(100)
-	if got := b.cutoff(); got < 7 || got > 7*(1+2e-9) {
-		t.Fatalf("cutoff must ignore longer candidates, got %v", got)
-	}
-	b.add(2)
-	b.add(3)
-	if got := b.cutoff(); got < 3 || got > 3*(1+2e-9) {
-		t.Fatalf("cutoff = %v, want ~3 (three smallest are 1,2,3)", got)
-	}
-
-	// limit <= 0 (k == 1) must never prune: KShortest accepts only the
-	// first path and runs no deviation rounds, but be defensive anyway.
-	z := &spurBound{limit: 0}
-	z.add(4)
-	if !math.IsInf(z.cutoff(), 1) {
-		t.Fatalf("zero-limit bound cutoff = %v, want +Inf", z.cutoff())
+// TestKShortestReusesRouter checks that one router stays deterministic
+// across repeated queries, for the same target and for a different one in
+// between: the ban epochs and scratch arrays are reused between calls,
+// and every path list must still match the reference engine.
+func TestKShortestReusesRouter(t *testing.T) {
+	g, w := gridGraph(7, 7)
+	want := refKShortest(g, w, 0, 48, 25, nil)
+	other := refKShortest(g, w, 6, 42, 25, nil)
+	r := NewRouter(g)
+	for i := 0; i < 3; i++ {
+		if err := samePathList(r.KShortest(0, 48, 25, w), want); err != nil {
+			t.Fatalf("repeat %d: %v", i, err)
+		}
+		if err := samePathList(r.KShortest(6, 42, 25, w), other); err != nil {
+			t.Fatalf("repeat %d, other pair: %v", i, err)
+		}
 	}
 }
 
-// TestSpurBoundRandomized cross-checks the bounded max-heap against a sort
-// over many random sequences: after every add, the cutoff is either +Inf
-// (underfull) or derived from the limit-th smallest value so far.
-func TestSpurBoundRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		limit := 1 + rng.Intn(6)
-		b := &spurBound{limit: limit}
-		var all []float64
-		for n := 0; n < 40; n++ {
-			v := rng.Float64() * 100
-			b.add(v)
-			all = append(all, v)
-			sorted := append([]float64(nil), all...)
-			sort.Float64s(sorted)
-			if len(all) < limit {
-				if !math.IsInf(b.cutoff(), 1) {
-					t.Fatalf("trial %d: underfull cutoff = %v", trial, b.cutoff())
-				}
-				continue
-			}
-			x := sorted[limit-1]
-			if want := x + 1e-9*x; b.cutoff() != want {
-				t.Fatalf("trial %d after %d adds: cutoff = %v, want %v",
-					trial, n+1, b.cutoff(), want)
-			}
+// TestSpurSearchSealedCheck drives the banned-spur A* on a graph where a
+// banned node b is the target's cheap way in: s leads one-way into a
+// 200-node region whose only exit is b, and separately along a costly
+// five-node corridor to t. The A* pops the whole region first (its
+// f-values are lowest), so the reverse reachability check from t runs
+// long enough to matter. Open corridor: the check must meet s and leave
+// the search to find the corridor. Corridor cut: t is sealed off, and the
+// search must stop with no path before it has popped the region.
+func TestSpurSearchSealedCheck(t *testing.T) {
+	const region, corridor = 200, 5
+	g := New(3 + region + corridor)
+	s, tgt, b := NodeID(0), NodeID(1), NodeID(2)
+	var weights []float64
+	add := func(from, to NodeID, w float64) EdgeID {
+		weights = append(weights, w)
+		return g.MustAddEdge(from, to)
+	}
+	add(b, tgt, 1)
+	add(s, 3, 1)
+	for i := 0; i < region; i++ {
+		n := NodeID(3 + i)
+		add(n, b, 1)
+		if i+1 < region {
+			add(n, n+1, 0.001)
 		}
+	}
+	var cut EdgeID
+	prev := s
+	for i := 0; i < corridor; i++ {
+		n := NodeID(3 + region + i)
+		e := add(prev, n, 2)
+		if i == 2 {
+			cut = e
+		}
+		prev = n
+	}
+	add(prev, tgt, 2)
+	w := func(e EdgeID) float64 { return weights[e] }
+
+	r := NewRouter(g)
+	r.grow()
+	search := func() (Path, bool) {
+		c := r.csr(w)
+		pot := r.reversePotential(c, tgt)
+		r.clearBans()
+		r.banNode(b)
+		return r.shortestAStar(c, s, tgt, pot, true)
+	}
+	p, ok := search()
+	if !ok || len(p.Edges) != corridor+1 || p.Length != 2*(corridor+1) {
+		t.Fatalf("open corridor: got ok=%v, %d edges, length %v; want the %d-edge corridor of length %d",
+			ok, len(p.Edges), p.Length, corridor+1, 2*(corridor+1))
+	}
+	g.DisableEdge(cut)
+	if _, ok := search(); ok {
+		t.Fatal("sealed target: search returned a path")
+	}
+	if len(r.heap) == 0 {
+		t.Error("sealed target: the search emptied its heap instead of stopping at the sealed check")
 	}
 }

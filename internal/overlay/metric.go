@@ -17,11 +17,11 @@ import (
 // pruning lossless.
 //
 // Concurrency: queries take the read lock for their whole run (the
-// corridor reads the live disabled flags, which Customize mutators also
-// cover when routed through Apply); Customize/Apply take the write
-// lock. A Metric and its Queriers therefore tolerate concurrent
-// customize-vs-query; the underlying graph's disable calls must go
-// through Apply for that to hold.
+// corridor reads the live disabled flags); MarkStale and the deferred
+// clique repair take the write lock. A graph edge disabled or enabled
+// while Queriers of the same Metric run must be toggled under that write
+// lock too (the race suite's Apply helper does it), or a query can see
+// a torn state.
 type Metric struct {
 	ov *Overlay
 
@@ -163,40 +163,14 @@ func (m *Metric) cellInteriorOffBase(c int32) bool {
 	return false
 }
 
-// Customize repairs the metric after the disabled state of the given
-// edges changed (disable or enable alike): every cell containing such an
-// edge in its interior recomputes its clique; cross-cell edges cost
-// nothing because cross arcs read the live disabled flags. Returns the
-// number of cells recomputed. Cancelling ctx defers the remaining cells:
-// they stay queued and are settled by the next Customize or query.
-func (m *Metric) Customize(ctx context.Context, edges ...graph.EdgeID) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.markLocked(edges)
-	return m.drainLocked(ctx)
-}
-
-// Apply runs mutate under the metric's write lock and then customizes
-// for the given edges. It is the race-safe way to disable or enable
-// edges while Queriers run concurrently: queries hold the read lock
-// across their whole search, so they observe either the pre-mutate or
-// the fully-customized post-mutate state, never a torn one.
-func (m *Metric) Apply(ctx context.Context, edges []graph.EdgeID, mutate func()) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mutate()
-	m.markLocked(edges)
-	return m.drainLocked(ctx)
-}
-
 // MarkStale queues the cells affected by a disabled-state change of the
 // given edges without recomputing anything: the deferred half of
 // customization. Marked cells are repaired — once, however many toggles
-// were coalesced — by the next Customize call or by ensureSettled when a
-// query next reads the cliques. The attack loops use this as their
-// per-cut hook: the oracle reads only cached target labels (valid lower
-// bounds under cuts) and raw CSR arcs mid-attack, so repair can ride
-// until the next clique read instead of running inside the hot loop.
+// were coalesced — by ensureSettled when a query next reads the
+// cliques. The attack loops use this as their per-cut hook: the oracle
+// reads only cached target labels (valid lower bounds under cuts) and
+// raw CSR arcs mid-attack, so repair can ride until the next clique read
+// instead of running inside the hot loop.
 func (m *Metric) MarkStale(edges ...graph.EdgeID) {
 	m.mu.Lock()
 	m.markLocked(edges)
@@ -258,8 +232,8 @@ func (m *Metric) atBaseLocked() bool {
 	return true
 }
 
-// ensureSettled drains any customization deferred by a cancelled
-// Customize before a query trusts the cliques.
+// ensureSettled drains any customization still queued (by MarkStale, or
+// by a cancelled drain) before a query trusts the cliques.
 func (m *Metric) ensureSettled() {
 	if m.pendingCount.Load() == 0 {
 		return

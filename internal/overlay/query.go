@@ -397,47 +397,6 @@ func (q *Querier) restrictedReverse(t graph.NodeID, c int32) {
 	q.rh = h
 }
 
-// Query computes the exact shortest path s -> t, building target labels
-// on the fly. When issuing many queries against one target (the oracle
-// does), build the labels once and call QueryTo.
-func (q *Querier) Query(s, t graph.NodeID) (graph.Path, bool) {
-	return q.QueryTo(s, q.BuildTargetLabels(t))
-}
-
-// QueryTo computes the exact shortest path from s to tl's target. The
-// result is bit-identical to the frozen Dijkstra kernel
-// (Router.ShortestPath with a snapshot attached): the corridor search IS
-// that kernel, with offers that provably cannot beat the known upper
-// bound recorded but not pushed. REQUIRES the metric to be customized to
-// the current disabled state and tl built under a state whose enabled
-// set is a superset of the current one (labels must be lower bounds).
-func (q *Querier) QueryTo(s graph.NodeID, tl *TargetLabels) (graph.Path, bool) {
-	if q.interrupted() {
-		return graph.Path{}, false
-	}
-	q.m.ensureSettled()
-	q.m.mu.RLock()
-	defer q.m.mu.RUnlock()
-	if !q.valid(s) || tl == nil || tl.tcell < 0 || !q.valid(tl.target) {
-		return graph.Path{}, false
-	}
-	u := tl.pot[s]
-	if math.IsInf(u, 1) {
-		// Unreachable, definitively: +Inf means s could not reach the
-		// target even at build time, and disables only remove paths.
-		return graph.Path{}, false
-	}
-	if p, ok := q.corridor(s, tl.target, tl, 0, u); ok {
-		return p, true
-	}
-	// Labels built before cuts under-estimate u (they are lower bounds,
-	// not upper bounds, once edges disappear), so the bounded pass can
-	// come up empty on a reachable target. The unbounded pass degrades
-	// to the plain frozen kernel — every offer passes the +Inf cutoff —
-	// and stays bit-exact.
-	return q.corridor(s, tl.target, tl, 0, math.Inf(1))
-}
-
 // corridor is the frozen Dijkstra kernel with lower-bound pruning: the
 // exact relaxation loop of Router.shortestCSR — same CSR slot order,
 // same float operations, same heap order, same early exit, same ban and
@@ -453,8 +412,9 @@ func (q *Querier) corridor(s, t graph.NodeID, tl *TargetLabels, rootLen, cutoff 
 	if q.nodeBanned(s) || q.nodeBanned(t) {
 		return graph.Path{}, false
 	}
-	// The slack mirrors graph.spurBound: candidates a hair over the bound
-	// survive float noise here and are re-judged exactly by the caller.
+	// A relative 1e-9 slack, as on the Yen engine's lazy pop rule:
+	// candidates a hair over the bound survive float noise here and are
+	// re-judged exactly by the caller.
 	lim := cutoff + 1e-9*cutoff
 	csr := q.csr
 	pot := tl.pot
