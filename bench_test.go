@@ -27,7 +27,6 @@ import (
 	"altroute/internal/experiment"
 	"altroute/internal/graph"
 	"altroute/internal/metrics"
-	"altroute/internal/overlay"
 	"altroute/internal/roadnet"
 	"altroute/internal/traffic"
 )
@@ -628,16 +627,8 @@ func BenchmarkOracleLoop(b *testing.B) {
 		}
 	})
 	b.Run("overlay", func(b *testing.B) {
-		ov, err := overlay.Build(context.Background(), snap, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := overlay.NewMetric(context.Background(), ov)
-		if err != nil {
-			b.Fatal(err)
-		}
 		p := base
-		p.Overlay = overlay.NewQuerier(m)
+		p.Overlay = net.Querier(context.Background(), roadnet.WeightTime)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -103,16 +103,17 @@ type Problem struct {
 	// produce, so results are unchanged.
 	Potential *graph.Potential
 	// Overlay optionally carries a caller-owned Querier over a CRP
-	// partition-overlay metric built on a snapshot of G under Weight
-	// (overlay.Build + overlay.NewMetric + overlay.NewQuerier). When set
+	// partition-overlay metric bound to a snapshot of G under Weight
+	// (roadnet.Network.Querier, which binds a new metric over the
+	// network's memoized partition and base cliques). When set
 	// and still valid, the oracle loops run their exclusivity checks
 	// through corridor-pruned overlay searches instead of unbounded A*
 	// spur searches, and report each cut to the metric so its cliques are
 	// repaired (per affected cell, coalesced) before the next clique read.
 	// The run attaches its context to the Querier, so one Querier serves
-	// any number of sequential runs but never two at once. Verdicts and
-	// witness lengths are identical to the CSR oracle; witness edges
-	// match except on exact float-length ties (see
+	// any number of sequential runs but never two at once. Verdicts are
+	// identical to the CSR oracle's; witness lengths and edges match
+	// except on exact float-length ties (see
 	// overlay.Querier.Violating). Without a Querier, or with one over a
 	// foreign or stale snapshot, the loops use the CSR oracle.
 	Overlay *overlay.Querier

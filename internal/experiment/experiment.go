@@ -124,7 +124,8 @@ func buildNetwork(spec *Spec) (*roadnet.Network, error) {
 //
 // Sources are drawn from one seeded generator in a fixed order and
 // evaluated up to GOMAXPROCS at a time, all on the network's shared
-// snapshot and one reverse potential per hospital. Results are accepted
+// snapshot and one reverse potential per hospital, which the network
+// memoizes across calls (roadnet.Network.Potential). Results are accepted
 // in draw order, and a value drawn ahead that the current hospital turns
 // out not to need is the next hospital's first draw, so the units, their
 // order and the errors are the same as evaluating one draw at a time.
@@ -160,9 +161,7 @@ func SampleUnits(net *roadnet.Network, spec Spec) ([]Unit, error) {
 	var units []Unit
 	var draws []graph.NodeID // drawn for the current hospital, in draw order
 	for _, h := range hospitals {
-		r := <-routers
-		pot := r.ReversePotential(h.Node, w)
-		routers <- r
+		pot := net.Potential(spec.WeightType, h.Node)
 		// At most workers evaluations are in flight, so no send blocks,
 		// including those of evaluations drained and dropped below.
 		results := make(chan sampled, workers)
@@ -364,10 +363,12 @@ func RunTableOnUnitsCtx(ctx context.Context, net *roadnet.Network, units []Unit,
 		ctx = context.Background()
 	}
 	w := net.Weight(spec.WeightType)
-	// One frozen snapshot serves every cell and unit of the run: attacks
-	// only toggle disabled flags, which the snapshot observes live.
+	// One frozen snapshot and one Querier serve every cell and unit of the
+	// run: attacks only toggle disabled flags, which the snapshot observes
+	// live, and the Querier's partition and base state are the network's
+	// memo, built by the first run on it.
 	snap := net.Snapshot(spec.WeightType)
-	q := newQuerier(ctx, snap, spec.Seed)
+	q := net.Querier(ctx, spec.WeightType)
 	table := Table{
 		City:       net.Name(),
 		WeightType: spec.WeightType,
@@ -450,22 +451,6 @@ func runCell(ctx context.Context, g *graph.Graph, snap *graph.Snapshot, q *overl
 	}
 	cell.finalize()
 	return cell, nil
-}
-
-// newQuerier builds the partition overlay and its metric over one
-// runner's snapshot and returns the runner's Querier, which every attack
-// of the runner reuses. A cancelled build returns nil: the attacks then
-// take the CSR oracle and surface the dead context themselves.
-func newQuerier(ctx context.Context, snap *graph.Snapshot, seed int64) *overlay.Querier {
-	ov, err := overlay.Build(ctx, snap, seed)
-	if err != nil {
-		return nil
-	}
-	m, err := overlay.NewMetric(ctx, ov)
-	if err != nil {
-		return nil
-	}
-	return overlay.NewQuerier(m)
 }
 
 // attackUnit runs one attack, recovering panics that escape core.RunCtx's

@@ -319,10 +319,20 @@ func TestRenderers(t *testing.T) {
 	var sb strings.Builder
 	table.Render(&sb)
 	out := sb.String()
-	for _, want := range []string{"Boston", "TIME", "GreedyEdge", "GreedyEig", "UNIFORM", "WIDTH", "ANER", "ACRE"} {
+	for _, want := range []string{"Boston", "TIME", "GreedyEdge", "GreedyEig", "UNIFORM", "WIDTH", "Runtime(ms)", "ANER", "ACRE"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}
+	}
+
+	// Runtime prints in milliseconds: a 1.5 ms cell reads 1.500.
+	sb.Reset()
+	ms := Table{City: "M", WeightType: roadnet.WeightTime, Cells: []Cell{
+		{Algorithm: core.AlgGreedyEdge, CostType: roadnet.CostUniform, AvgRuntimeS: 0.0015, ANER: 2, ACRE: 3, Runs: 1},
+	}}
+	ms.Render(&sb)
+	if want := "GreedyEdge        |       1.500     2.00     3.00"; !strings.Contains(sb.String(), want) {
+		t.Errorf("runtime not rendered in milliseconds, want line %q:\n%s", want, sb.String())
 	}
 
 	sb.Reset()

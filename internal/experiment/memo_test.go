@@ -1,0 +1,146 @@
+package experiment
+
+// The runners share one oracle memo per network and weight type: the
+// partition overlay, base cliques, target labels and reverse potentials
+// are built by the first run and reused by every later run and worker
+// clone. These tests hold the reuse to the results of fresh builds.
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"altroute/internal/citygen"
+	"altroute/internal/overlay"
+	"altroute/internal/roadnet"
+)
+
+// TestRepeatedParallelTablesMatchSerialAndCSR runs three successive
+// parallel tables on one network at GOMAXPROCS 2 and 4: every one must
+// equal the serial runner's table and match the CSR reference attack for
+// attack.
+func TestRepeatedParallelTablesMatchSerialAndCSR(t *testing.T) {
+	net, units, spec := oracleFixture(t)
+	ref := csrReference(t, net, units, spec)
+	serial := zeroRuntimes(matchCSRRecords(t, "serial", spec, ref, func(s Spec) (Table, error) {
+		return RunTableOnUnits(net, units, s)
+	}))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for call := 1; call <= 3; call++ {
+			name := fmt.Sprintf("GOMAXPROCS %d, call %d", procs, call)
+			got := matchCSRRecords(t, name, spec, ref, func(s Spec) (Table, error) {
+				return RunTableOnUnitsParallelCtx(context.Background(), net, units, s, 0)
+			})
+			if got = zeroRuntimes(got); !reflect.DeepEqual(got, serial) {
+				t.Fatalf("%s: table differs from the serial runner's:\n%+v\nwant\n%+v", name, got, serial)
+			}
+		}
+	}
+}
+
+// TestTableAfterSetRoadMatchesFreshNetwork warms a network's memo, speeds
+// up every road on one unit's p* with SetRoad, and checks that sampling
+// and both runners then give what a freshly built network with the same
+// change gives. Faster roads make the old cliques, labels and potentials
+// overestimates, so a memo that survived SetRoad would show.
+func TestTableAfterSetRoadMatchesFreshNetwork(t *testing.T) {
+	spec := smallSpec()
+	spec.fill()
+	build := func() *roadnet.Network {
+		net, err := citygen.Build(spec.City, spec.Scale, spec.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	net := build()
+	units, err := SampleUnits(net, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunTableOnUnitsParallel(net, units, spec, 2); err != nil {
+		t.Fatal(err)
+	}
+	speedUp := func(n *roadnet.Network) {
+		for _, e := range units[0].PStar.Edges {
+			r := n.Road(e)
+			r.SpeedMS *= 3
+			if err := n.SetRoad(e, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fresh := build()
+	speedUp(net)
+	speedUp(fresh)
+
+	got, gotErr := SampleUnits(net, spec)
+	want, wantErr := SampleUnits(fresh, spec)
+	sameSampling(t, "after SetRoad", got, gotErr, want, wantErr)
+	runners := map[string]func(*roadnet.Network) (Table, error){
+		"serial":   func(n *roadnet.Network) (Table, error) { return RunTableOnUnits(n, want, spec) },
+		"parallel": func(n *roadnet.Network) (Table, error) { return RunTableOnUnitsParallel(n, want, spec, 2) },
+	}
+	for name, run := range runners {
+		g, err := run(net)
+		if err != nil {
+			t.Fatalf("%s on the mutated network: %v", name, err)
+		}
+		w, err := run(fresh)
+		if err != nil {
+			t.Fatalf("%s on the fresh network: %v", name, err)
+		}
+		if g, w = zeroRuntimes(g), zeroRuntimes(w); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s after SetRoad: table differs from a fresh network's:\n%+v\nwant\n%+v", name, g, w)
+		}
+	}
+}
+
+// TestClonesAttackConcurrentlySharingLabels attacks the whole grid on two
+// clones at once, each through its own Querier: every attack must match
+// the CSR reference, and both clones (and the network they were cut
+// from) must be served one set of base-state labels per hospital.
+func TestClonesAttackConcurrentlySharingLabels(t *testing.T) {
+	net, units, spec := oracleFixture(t)
+	ref := csrReference(t, net, units, spec)
+	var (
+		clones   [2]*roadnet.Network
+		queriers [2]*overlay.Querier
+		got      [2]map[attackKey]attackOutcome
+		wg       sync.WaitGroup
+	)
+	for i := range clones {
+		clones[i] = net.Clone()
+		queriers[i] = clones[i].Querier(context.Background(), spec.WeightType)
+		if queriers[i] == nil {
+			t.Fatal("Querier returned nil on a live context")
+		}
+	}
+	for i := range clones {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = runAll(t, clones[i], clones[i].Snapshot(spec.WeightType), units, spec, queriers[i])
+		}()
+	}
+	wg.Wait()
+	for i := range clones {
+		for k, want := range ref {
+			sameOutcome(t, fmt.Sprintf("clone %d", i), k, want, got[i][k])
+		}
+	}
+	master := net.Querier(context.Background(), spec.WeightType)
+	for _, u := range units {
+		tl := master.BuildTargetLabels(u.Dest)
+		for i, q := range queriers {
+			if q.BuildTargetLabels(u.Dest) != tl {
+				t.Fatalf("clone %d holds its own labels for hospital %s", i, u.Hospital)
+			}
+		}
+	}
+}

@@ -128,45 +128,56 @@ func TestRunnersMatchCSROracle(t *testing.T) {
 		"parallel": func(s Spec) (Table, error) { return RunTableOnUnitsParallel(net, units, s, 2) },
 	}
 	for name, run := range runners {
-		var mu sync.Mutex
-		recs := make(map[attackKey]Record)
-		s := spec
-		s.Audit = func(rec Record) {
-			alg, err := core.ParseAlgorithm(rec.Algorithm)
-			if err != nil {
-				t.Errorf("%s: record algorithm %q: %v", name, rec.Algorithm, err)
-				return
-			}
-			ct, err := roadnet.ParseCostType(rec.CostType)
-			if err != nil {
-				t.Errorf("%s: record cost type %q: %v", name, rec.CostType, err)
-				return
-			}
-			mu.Lock()
-			recs[attackKey{alg, ct, rec.Unit}] = rec
-			mu.Unlock()
+		matchCSRRecords(t, name, spec, ref, run)
+	}
+}
+
+// matchCSRRecords runs one table through run, collecting its records
+// through Spec.Audit, and holds every record to the CSR reference:
+// outcome, failure kind, edge count and the exact cost bits. It returns
+// the table.
+func matchCSRRecords(t *testing.T, name string, spec Spec, ref map[attackKey]attackOutcome, run func(Spec) (Table, error)) Table {
+	t.Helper()
+	var mu sync.Mutex
+	recs := make(map[attackKey]Record)
+	s := spec
+	s.Audit = func(rec Record) {
+		alg, err := core.ParseAlgorithm(rec.Algorithm)
+		if err != nil {
+			t.Errorf("%s: record algorithm %q: %v", name, rec.Algorithm, err)
+			return
 		}
-		if _, err := run(s); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		ct, err := roadnet.ParseCostType(rec.CostType)
+		if err != nil {
+			t.Errorf("%s: record cost type %q: %v", name, rec.CostType, err)
+			return
 		}
-		if len(recs) != len(ref) {
-			t.Fatalf("%s: %d records, want %d", name, len(recs), len(ref))
-		}
-		for k, want := range ref {
-			rec, ok := recs[k]
-			switch {
-			case !ok:
-				t.Fatalf("%s %s/%s unit %d: no record", name, k.alg, k.ct, k.unit)
-			case rec.OK != (want.err == nil):
-				t.Fatalf("%s %s/%s unit %d: ok=%v, CSR oracle err=%v", name, k.alg, k.ct, k.unit, rec.OK, want.err)
-			case !rec.OK && rec.FailKind != FailureKind(want.err):
-				t.Fatalf("%s %s/%s unit %d: fail kind %q, CSR oracle %q", name, k.alg, k.ct, k.unit, rec.FailKind, FailureKind(want.err))
-			case rec.OK && (rec.Edges != len(want.res.Removed) || math.Float64bits(rec.Cost) != math.Float64bits(want.res.TotalCost)):
-				t.Fatalf("%s %s/%s unit %d: %d edges cost %v, CSR oracle %d edges cost %v",
-					name, k.alg, k.ct, k.unit, rec.Edges, rec.Cost, len(want.res.Removed), want.res.TotalCost)
-			}
+		mu.Lock()
+		recs[attackKey{alg, ct, rec.Unit}] = rec
+		mu.Unlock()
+	}
+	table, err := run(s)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if len(recs) != len(ref) {
+		t.Fatalf("%s: %d records, want %d", name, len(recs), len(ref))
+	}
+	for k, want := range ref {
+		rec, ok := recs[k]
+		switch {
+		case !ok:
+			t.Fatalf("%s %s/%s unit %d: no record", name, k.alg, k.ct, k.unit)
+		case rec.OK != (want.err == nil):
+			t.Fatalf("%s %s/%s unit %d: ok=%v, CSR oracle err=%v", name, k.alg, k.ct, k.unit, rec.OK, want.err)
+		case !rec.OK && rec.FailKind != FailureKind(want.err):
+			t.Fatalf("%s %s/%s unit %d: fail kind %q, CSR oracle %q", name, k.alg, k.ct, k.unit, rec.FailKind, FailureKind(want.err))
+		case rec.OK && (rec.Edges != len(want.res.Removed) || math.Float64bits(rec.Cost) != math.Float64bits(want.res.TotalCost)):
+			t.Fatalf("%s %s/%s unit %d: %d edges cost %v, CSR oracle %d edges cost %v",
+				name, k.alg, k.ct, k.unit, rec.Edges, rec.Cost, len(want.res.Removed), want.res.TotalCost)
 		}
 	}
+	return table
 }
 
 // TestReusedQuerierAfterCancelledAttack reuses one worker's Querier the
@@ -191,9 +202,9 @@ func TestReusedQuerierAfterCancelledAttack(t *testing.T) {
 
 	local := net.Clone()
 	snap := local.Snapshot(spec.WeightType)
-	q := newQuerier(context.Background(), snap, spec.Seed)
+	q := local.Querier(context.Background(), spec.WeightType)
 	if q == nil {
-		t.Fatal("newQuerier returned nil on a live context")
+		t.Fatal("Querier returned nil on a live context")
 	}
 	enabled := local.Graph().NumEnabledEdges()
 	inj := faultinject.New(1).Arm(faultinject.PointAttackStall, faultinject.Rule{OnHit: 2})
@@ -214,9 +225,11 @@ func TestReusedQuerierAfterCancelledAttack(t *testing.T) {
 }
 
 // TestDeadContextAtBuildFallsBack: with the context dead before the
-// overlay is built, newQuerier yields no querier, the runners return
+// overlay is built, Querier yields no querier, the runners return
 // ErrInterrupted instead of failing, and a Problem without a querier runs
-// the CSR oracle.
+// the CSR oracle. The dead build leaves nothing memoized: a later call
+// with a live context gets the overlay again, on the network and on its
+// clone.
 func TestDeadContextAtBuildFallsBack(t *testing.T) {
 	net, units, spec := oracleFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -224,8 +237,8 @@ func TestDeadContextAtBuildFallsBack(t *testing.T) {
 
 	local := net.Clone()
 	snap := local.Snapshot(spec.WeightType)
-	if q := newQuerier(ctx, snap, spec.Seed); q != nil {
-		t.Fatal("newQuerier built a querier on a dead context")
+	if q := local.Querier(ctx, spec.WeightType); q != nil {
+		t.Fatal("Querier built a querier on a dead context")
 	}
 	if _, err := RunTableOnUnitsCtx(ctx, net, units, spec); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("serial runner on a dead context: err = %v, want ErrInterrupted", err)
@@ -238,4 +251,13 @@ func TestDeadContextAtBuildFallsBack(t *testing.T) {
 	k := attackKey{core.AlgGreedyPathCover, roadnet.CostUniform, 0}
 	res, err := core.RunCtx(context.Background(), k.alg, unitProblem(local, snap, units[0], k.ct, spec, nil), unitOptions(spec))
 	sameOutcome(t, "nil querier", k, ref[k], attackOutcome{res, err})
+
+	for name, n := range map[string]*roadnet.Network{"network": net, "clone": local} {
+		if q := n.Querier(context.Background(), spec.WeightType); q == nil {
+			t.Fatalf("%s: Querier on a live context after a dead-context build returned nil", name)
+		}
+	}
+	q := local.Querier(context.Background(), spec.WeightType)
+	res, err = core.RunCtx(context.Background(), k.alg, unitProblem(local, snap, units[0], k.ct, spec, q), unitOptions(spec))
+	sameOutcome(t, "querier after a dead build", k, ref[k], attackOutcome{res, err})
 }

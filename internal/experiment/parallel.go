@@ -21,7 +21,9 @@ func RunTableOnUnitsParallel(net *roadnet.Network, units []Unit, spec Spec, work
 // RunTableOnUnitsParallelCtx is the parallel grid runner under a context.
 // Every worker runs on its own clone of the network (the attack algorithms
 // disable edges transactionally, which must not race), so results are
-// bit-for-bit identical to the serial runner, cell order included.
+// bit-for-bit identical to the serial runner, cell order included. The
+// clones share the network's frozen snapshot arrays and oracle memo, so
+// only the first run on a network builds the partition overlay.
 // workers <= 0 uses GOMAXPROCS.
 //
 // A worker panic is recovered into that unit's failure (counted in
@@ -53,6 +55,10 @@ func RunTableOnUnitsParallelCtx(ctx context.Context, net *roadnet.Network, units
 		workers = len(jobs)
 	}
 
+	// Freeze on the master before cloning, so every clone shares its
+	// snapshot and oracle memo instead of freezing its own.
+	net.Snapshot(spec.WeightType)
+
 	results := make([]Cell, len(jobs))
 	cellErrs := make([]error, len(jobs))
 	jobCh := make(chan cellJob)
@@ -62,14 +68,15 @@ func RunTableOnUnitsParallelCtx(ctx context.Context, net *roadnet.Network, units
 		go func() {
 			defer wg.Done()
 			local := net.Clone()
-			// Weight and cost functions — and the frozen snapshot, overlay
-			// metric and Querier — are derived once per worker, not per job
-			// or per unit: jobs repeat the same few cost types on the same
-			// cloned graph. Each worker owns its metric (built over its own
-			// clone's snapshot), so customization never races across workers.
+			// Weight and cost functions, the snapshot and the Querier are
+			// derived once per worker, not per job or per unit: jobs repeat
+			// the same few cost types on the same cloned graph. Each worker
+			// owns its metric (bound to its clone's disabled flags), so
+			// customization never races across workers; the first worker
+			// to ask builds the shared memo, the others wait for it.
 			weight := local.Weight(spec.WeightType)
 			snap := local.Snapshot(spec.WeightType)
-			q := newQuerier(ctx, snap, spec.Seed)
+			q := local.Querier(ctx, spec.WeightType)
 			costs := make(map[roadnet.CostType]graph.WeightFunc, len(spec.CostTypes))
 			for _, ct := range spec.CostTypes {
 				costs[ct] = local.Cost(ct)

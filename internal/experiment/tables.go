@@ -10,7 +10,9 @@ import (
 )
 
 // Render writes the table in the paper's layout: one row per algorithm,
-// one (Avg. Runtime, ANER, ACRE) column group per cost type.
+// one (Avg. Runtime, ANER, ACRE) column group per cost type. Runtime is
+// printed in milliseconds: at the paper's scale most attacks take well
+// under one.
 func (t Table) Render(w io.Writer) {
 	fmt.Fprintf(w, "%s, WEIGHT TYPE: %s  (%d nodes, %d edges, %d runs/cell)\n",
 		t.City, t.WeightType, t.Summary.Nodes, t.Summary.Edges, t.Units)
@@ -18,12 +20,12 @@ func (t Table) Render(w io.Writer) {
 	costs := t.costTypes()
 	fmt.Fprintf(w, "%-17s", "Algorithm")
 	for _, ct := range costs {
-		fmt.Fprintf(w, " | %-26s", ct.String())
+		fmt.Fprintf(w, " | %-29s", ct.String())
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-17s", "")
 	for range costs {
-		fmt.Fprintf(w, " | %8s %8s %8s", "Runtime", "ANER", "ACRE")
+		fmt.Fprintf(w, " | %11s %8s %8s", "Runtime(ms)", "ANER", "ACRE")
 	}
 	fmt.Fprintln(w)
 
@@ -32,10 +34,10 @@ func (t Table) Render(w io.Writer) {
 		for _, ct := range costs {
 			c := t.Cell(alg, ct)
 			if c == nil || c.Runs == 0 {
-				fmt.Fprintf(w, " | %8s %8s %8s", "-", "-", "-")
+				fmt.Fprintf(w, " | %11s %8s %8s", "-", "-", "-")
 				continue
 			}
-			fmt.Fprintf(w, " | %8.3f %8.2f %8.2f", c.AvgRuntimeS, c.ANER, c.ACRE)
+			fmt.Fprintf(w, " | %11.3f %8.2f %8.2f", 1000*c.AvgRuntimeS, c.ANER, c.ACRE)
 		}
 		fmt.Fprintln(w)
 	}

@@ -180,6 +180,22 @@ func (c *Snapshot) Refresh() *Snapshot {
 	return Freeze(c.g, c.wf)
 }
 
+// Rebind returns a snapshot of g that shares c's CSR arrays and weights
+// instead of freezing g again: g must be a clone of c's graph taken while
+// c was valid, and w must give g's edges the weights c materialized (it
+// is kept only for Refresh). The result observes g's own disabled flags,
+// so attacks on the clone never touch c's. Neither snapshot may be
+// Reweighted afterwards, since both read the same arrays. Rebind returns
+// nil when g's generation or size differs from c's.
+func (c *Snapshot) Rebind(g *Graph, w WeightFunc) *Snapshot {
+	if g.gen != c.gen || g.NumNodes() != c.n || g.NumEdges() != c.m {
+		return nil
+	}
+	r := *c
+	r.g, r.wf, r.disabled, r.freezeNS = g, w, g.disabled, 0
+	return &r
+}
+
 // Reweight re-reads the weights of the given edges from the snapshot's
 // weight function and patches every array that materializes them: the
 // per-edge table and the edge's forward and reverse slots. It serves
@@ -189,8 +205,8 @@ func (c *Snapshot) Refresh() *Snapshot {
 //
 // Reweight breaks the snapshot's immutability, so it is only for a
 // snapshot the caller owns alone: one it froze itself and never shared
-// with another router, goroutine, or cache (never a Network.Snapshot or
-// registry snapshot).
+// with another router, goroutine, or cache (never a Network.Snapshot, a
+// registry snapshot, or a snapshot with a Rebind of it).
 func (c *Snapshot) Reweight(edges []EdgeID) { //lint:allow ctxflow O(len(edges) x degree) patch with no search; too short to need a cancellation point
 	for _, e := range edges {
 		x := c.wf(e)

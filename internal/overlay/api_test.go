@@ -13,6 +13,16 @@ import (
 // build, for the differential and race suites and the overlay benchmarks
 // that drive the metric and the corridor kernel directly.
 
+// NewMetric computes a fresh base for ov under snap's current disabled
+// state and returns a metric bound to snap over it.
+func NewMetric(ctx context.Context, ov *Overlay, snap *graph.Snapshot) (*Metric, error) {
+	b, err := NewBase(ctx, ov, snap)
+	if err != nil {
+		return nil, err
+	}
+	return b.Metric(snap), nil
+}
+
 // Customize repairs the metric after the disabled state of the given
 // edges changed (disable or enable alike): every cell containing such an
 // edge in its interior recomputes its clique; cross-cell edges cost

@@ -59,7 +59,7 @@ func BenchmarkPointToPointOverlay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := overlay.NewMetric(context.Background(), ov)
+	m, err := overlay.NewMetric(context.Background(), ov, snap)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func BenchmarkCustomizeAfterCut(b *testing.B) {
 		b.Fatal(err)
 	}
 	start := time.Now() //lint:allow wallclock benchmark timing; never feeds a result
-	m, err := overlay.NewMetric(context.Background(), ov)
+	m, err := overlay.NewMetric(context.Background(), ov, snap)
 	if err != nil {
 		b.Fatal(err)
 	}

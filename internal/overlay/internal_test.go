@@ -9,29 +9,52 @@ import (
 	"container/heap"
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
-	"altroute/internal/citygen"
 	"altroute/internal/graph"
-	"altroute/internal/roadnet"
 )
 
-func buildFixture(t testing.TB) (*roadnet.Network, *Overlay, *Metric) {
+// buildFixture is a 30x40 two-way lattice with seeded random weights:
+// large enough for a few dozen cells. Tests of this package cannot build
+// a city, because roadnet imports overlay.
+func buildFixture(t testing.TB) (*graph.Graph, *Overlay, *Metric) {
 	t.Helper()
-	net, err := citygen.Build(citygen.Chicago, 0.04, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := net.Snapshot(roadnet.WeightTime)
+	g, snap := lattice(30, 40, 1)
 	ov, err := Build(context.Background(), snap, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMetric(context.Background(), ov)
+	m, err := NewMetric(context.Background(), ov, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net, ov, m
+	return g, ov, m
+}
+
+// lattice returns a frozen rows x cols two-way lattice whose weights are
+// drawn from [1, 2) by a generator seeded with seed.
+func lattice(rows, cols int, seed int64) (*graph.Graph, *graph.Snapshot) {
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.New(rows * cols)
+	var w []float64
+	add := func(u, v int) {
+		g.MustAddEdge(graph.NodeID(u), graph.NodeID(v))
+		w = append(w, 1+rng.Float64())
+	}
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if c+1 < cols {
+				add(r*cols+c, r*cols+c+1)
+				add(r*cols+c+1, r*cols+c)
+			}
+			if r+1 < rows {
+				add(r*cols+c, (r+1)*cols+c)
+				add((r+1)*cols+c, r*cols+c)
+			}
+		}
+	}
+	return g, graph.Freeze(g, func(e graph.EdgeID) float64 { return w[e] })
 }
 
 // refItem / refHeap: a plain container/heap Dijkstra queue, deliberately
@@ -55,8 +78,7 @@ func (h *refHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h =
 
 // refRestricted computes exact within-cell distances from src, honouring
 // the live disabled flags, with an independent Dijkstra.
-func refRestricted(ov *Overlay, src, c int32) map[int32]float64 {
-	csr := ov.csr
+func refRestricted(ov *Overlay, csr graph.CSRView, src, c int32) map[int32]float64 {
 	dist := map[int32]float64{src: 0}
 	h := &refHeap{{0, src}}
 	for h.Len() > 0 {
@@ -92,9 +114,9 @@ func TestCliqueMatchesReferenceRestrictedDijkstra(t *testing.T) {
 		}
 		checked++
 		b0 := ov.cellBOff[c]
-		base := m.cliqueOff[c]
+		base := m.base.cliqueOff[c]
 		for i := 0; i < k; i++ {
-			ref := refRestricted(ov, ov.bNode[b0+int32(i)], c)
+			ref := refRestricted(ov, m.csr, ov.bNode[b0+int32(i)], c)
 			for j := 0; j < k; j++ {
 				got := m.clique[base+int64(i*k)+int64(j)]
 				want, ok := ref[ov.bNode[b0+int32(j)]]
@@ -113,8 +135,7 @@ func TestCliqueMatchesReferenceRestrictedDijkstra(t *testing.T) {
 }
 
 func TestECellDispatchTable(t *testing.T) {
-	net, ov, _ := buildFixture(t)
-	g := net.Graph()
+	g, ov, _ := buildFixture(t)
 	for e := 0; e < len(ov.eCell); e++ {
 		a := g.Arc(graph.EdgeID(e))
 		same := ov.cell[a.From] == ov.cell[a.To]
@@ -131,8 +152,7 @@ func TestECellDispatchTable(t *testing.T) {
 // one interior edge recomputes exactly the one affected cell, and a
 // cross-cell cut recomputes none.
 func TestSingleCutCustomizationScope(t *testing.T) {
-	net, ov, m := buildFixture(t)
-	g := net.Graph()
+	g, ov, m := buildFixture(t)
 
 	interior := graph.EdgeID(-1)
 	cross := graph.EdgeID(-1)
@@ -165,8 +185,7 @@ func TestSingleCutCustomizationScope(t *testing.T) {
 }
 
 func TestMarkStaleCoalescesAndSettles(t *testing.T) {
-	net, ov, m := buildFixture(t)
-	g := net.Graph()
+	g, ov, m := buildFixture(t)
 	interior := graph.EdgeID(-1)
 	for e := range ov.eCell {
 		if ov.eCell[e] >= 0 {
@@ -218,9 +237,8 @@ func TestMarkStaleCoalescesAndSettles(t *testing.T) {
 }
 
 func TestPartitionDeterministicUnderSeed(t *testing.T) {
-	net, ov, _ := buildFixture(t)
-	snap := net.Snapshot(roadnet.WeightTime)
-	again, err := Build(context.Background(), snap, 1)
+	_, ov, m := buildFixture(t)
+	again, err := Build(context.Background(), m.Snapshot(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,6 +249,33 @@ func TestPartitionDeterministicUnderSeed(t *testing.T) {
 	for v := range ov.cell {
 		if again.cell[v] != ov.cell[v] {
 			t.Fatalf("same seed, node %d in cell %d vs %d", v, again.cell[v], ov.cell[v])
+		}
+	}
+}
+
+// TestSameFlags checks the chunked flag comparison against an element
+// loop, with one flag flipped at every position of slices around the
+// chunk size.
+func TestSameFlags(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 1023, 1024, 1025, 2048, 3001} {
+		a := make([]bool, n)
+		for i := range a {
+			a[i] = rng.Intn(7) == 0
+		}
+		b := append([]bool(nil), a...)
+		if !sameFlags(a, b) {
+			t.Fatalf("n=%d: equal slices reported different", n)
+		}
+		for i := 0; i < n; i++ {
+			b[i] = !b[i]
+			if sameFlags(a, b) {
+				t.Fatalf("n=%d: flag %d flipped, reported equal", n, i)
+			}
+			b[i] = !b[i]
+		}
+		if n > 0 && sameFlags(a, b[:n-1]) {
+			t.Fatalf("n=%d: slices of different lengths reported equal", n)
 		}
 	}
 }

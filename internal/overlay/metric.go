@@ -9,37 +9,162 @@ import (
 	"altroute/internal/graph"
 )
 
-// Metric is the weight half of the CRP structure: per-cell clique
-// matrices of boundary-to-boundary shortest distances restricted to the
-// cell's interior, honouring the live disabled flags at computation
-// time. Cliques are exact distances, so label sweeps over the boundary
-// graph compute exact overlay distances — which is what makes corridor
-// pruning lossless.
+// Base is the part of a metric that every metric over one frozen image
+// shares: the overlay, the cell cliques computed under one disabled state
+// (the base state), that state, and the target labels built at it. The
+// cliques and the state are immutable after NewBase; the label cache has
+// its own lock. Metrics bound to a Base (Base.Metric) read its cliques
+// until their first repair copies them, so binding one costs no clique
+// work.
+type Base struct {
+	ov        *Overlay
+	cliqueOff []int64   // cell -> offset into clique (k_c^2 entries per cell)
+	clique    []float64 // row-major: clique[off + i*k + j] = dist(b_i -> b_j) within the cell
+
+	// disabled is the disabled state NewBase saw. Cities legitimately
+	// ship with closed roads, so "base" is NOT "everything enabled": it is
+	// whatever state the cliques were built under.
+	disabled []bool
+
+	// labelMu guards labels, which holds target labels built at the base
+	// state. Entries are exact for the base state forever, so every
+	// attack run against a destination after the first, on any metric
+	// bound to this base, skips the label build.
+	labelMu sync.Mutex
+	labels  map[graph.NodeID]*labelEntry
+}
+
+// labelEntry is one target's slot in the shared label cache. Its lock is
+// held across the build, so metrics asking for the same target at once
+// wait for one build instead of each running their own.
+type labelEntry struct {
+	mu sync.Mutex
+	tl *TargetLabels
+}
+
+// NewBase computes all cell cliques for ov under snap's current disabled
+// state. snap must hold the frozen image ov was built from: the snapshot
+// passed to Build, or a Rebind of it. Cancelling ctx aborts with its
+// error; the partial base is discarded.
+func NewBase(ctx context.Context, ov *Overlay, snap *graph.Snapshot) (*Base, error) {
+	b := &Base{
+		ov:        ov,
+		cliqueOff: make([]int64, ov.numCells+1),
+		disabled:  append([]bool(nil), snap.View().Disabled...),
+		labels:    make(map[graph.NodeID]*labelEntry),
+	}
+	var total int64
+	for c := 0; c < ov.numCells; c++ {
+		b.cliqueOff[c] = total
+		k := int64(ov.boundaryCount(int32(c)))
+		total += k * k
+	}
+	b.cliqueOff[ov.numCells] = total
+	m := b.Metric(snap)
+	m.clique = make([]float64, total)
+	m.ownClique = true
+	for c := 0; c < ov.numCells; c++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		m.computeCellLocked(int32(c))
+	}
+	b.clique = m.clique
+	return b, nil
+}
+
+// Metric returns a metric over b bound to snap, which must hold b's
+// frozen image (see NewBase); it panics on a snapshot of another size.
+// The metric observes snap's disabled flags: cells whose interior differs
+// from the base state there are queued for repair, exactly as if the
+// edges had been toggled through MarkStale.
+func (b *Base) Metric(snap *graph.Snapshot) *Metric {
+	ov := b.ov
+	if snap.NumNodes() != ov.n || snap.NumEdges() != ov.m {
+		panic("overlay: snapshot does not hold the base's frozen image")
+	}
+	m := &Metric{
+		ov:          ov,
+		base:        b,
+		snap:        snap,
+		csr:         snap.View(),
+		clique:      b.clique,
+		pendingMark: make([]bool, ov.numCells),
+		cliqueDirty: make([]bool, ov.numCells),
+	}
+	for e, d := range m.csr.Disabled {
+		if c := ov.eCell[e]; d != b.disabled[e] && c >= 0 && !m.pendingMark[c] {
+			m.pendingMark[c] = true
+			m.pending = append(m.pending, c)
+		}
+	}
+	m.pendingCount.Store(int32(len(m.pending)))
+	return m
+}
+
+// labelsFor returns t's base-state labels from the shared cache. When no
+// metric has built them yet, build runs under t's entry lock; a build
+// reporting !ok (a cancelled sweep, with +Inf holes) is returned to its
+// caller but never stored.
+func (b *Base) labelsFor(t graph.NodeID, build func() (*TargetLabels, bool)) *TargetLabels {
+	b.labelMu.Lock()
+	e := b.labels[t]
+	if e == nil {
+		if len(b.labels) >= tlCacheMax {
+			// Evict one arbitrary entry: the cache exists for the few
+			// hot destinations attack loops hammer, not to index every
+			// target a query server is ever asked about.
+			for old := range b.labels {
+				delete(b.labels, old)
+				break
+			}
+		}
+		e = &labelEntry{}
+		b.labels[t] = e
+	}
+	b.labelMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.tl != nil {
+		return e.tl
+	}
+	tl, ok := build()
+	if ok {
+		e.tl = tl
+	}
+	return tl
+}
+
+// Metric is the weight half of the CRP structure as one attack loop sees
+// it: per-cell clique matrices of boundary-to-boundary shortest distances
+// restricted to the cell's interior, honouring the disabled flags of the
+// metric's own snapshot at computation time. Cliques are exact
+// distances, so label sweeps over the boundary graph compute exact
+// overlay distances — which is what makes corridor pruning lossless.
 //
 // Concurrency: queries take the read lock for their whole run (the
 // corridor reads the live disabled flags); MarkStale and the deferred
 // clique repair take the write lock. A graph edge disabled or enabled
 // while Queriers of the same Metric run must be toggled under that write
 // lock too (the race suite's Apply helper does it), or a query can see
-// a torn state.
+// a torn state. Metrics bound to one Base share nothing mutable but the
+// label cache, which has its own lock.
 type Metric struct {
-	ov *Overlay
+	ov   *Overlay
+	base *Base
+	snap *graph.Snapshot
+	csr  graph.CSRView // snap's view: the image's arrays, snap's disabled flags
 
-	mu        sync.RWMutex
-	cliqueOff []int64   // cell -> offset into clique (k_c^2 entries per cell)
-	clique    []float64 // row-major: clique[off + i*k + j] = dist(b_i -> b_j) within the cell
+	mu sync.RWMutex
+	// clique is base.clique until the first repair copies it (ownClique).
+	clique    []float64
+	ownClique bool
 
 	// pending holds cells whose cliques are stale because a customization
 	// was cancelled mid-drain. Queries settle it before trusting labels.
 	pending      []int32
 	pendingMark  []bool
 	pendingCount atomic.Int32
-
-	// baseDisabled is the disabled state captured at NewMetric time — the
-	// metric's base state. Cities legitimately ship with closed roads, so
-	// "base" is NOT "everything enabled": it is whatever state the cliques
-	// were first built under. Immutable after construction.
-	baseDisabled []bool
 
 	// cliqueDirty[c] records whether cell c's clique was last computed
 	// with at least one interior edge off its base state. A queued repair
@@ -49,60 +174,33 @@ type Metric struct {
 	// and the cliques stay at their base bytes across runs.
 	cliqueDirty []bool
 
-	// tlCache holds target labels built at the base state. Entries are
-	// immutable once stored and exact for the base snapshot forever, so
-	// repeated attack runs against the same destination skip the label
-	// build entirely.
-	tlCache map[graph.NodeID]*TargetLabels
-
-	// Restricted-Dijkstra scratch, guarded by mu (writers only).
+	// Restricted-Dijkstra scratch, guarded by mu (writers only) and
+	// allocated by the first repair.
 	dist  []float64
 	stamp []uint64
 	cur   uint64
 	h     bheap
 }
 
-// NewMetric computes all cell cliques for ov under the current disabled
-// state. Cancelling ctx aborts with its error; the partial metric is
-// discarded.
-func NewMetric(ctx context.Context, ov *Overlay) (*Metric, error) {
-	m := &Metric{
-		ov:           ov,
-		cliqueOff:    make([]int64, ov.numCells+1),
-		pendingMark:  make([]bool, ov.numCells),
-		baseDisabled: append([]bool(nil), ov.csr.Disabled...),
-		cliqueDirty:  make([]bool, ov.numCells),
-		tlCache:      make(map[graph.NodeID]*TargetLabels),
-		dist:         make([]float64, ov.csr.N),
-		stamp:        make([]uint64, ov.csr.N),
-	}
-	var total int64
-	for c := 0; c < ov.numCells; c++ {
-		m.cliqueOff[c] = total
-		k := int64(ov.boundaryCount(int32(c)))
-		total += k * k
-	}
-	m.cliqueOff[ov.numCells] = total
-	m.clique = make([]float64, total)
-	for c := 0; c < ov.numCells; c++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		m.computeCellLocked(int32(c))
-	}
-	return m, nil
-}
-
 // computeCellLocked fills cell c's clique: one restricted Dijkstra per
 // boundary node, relaxing only arcs whose head stays inside the cell and
-// skipping disabled edges. Caller holds the write lock (or owns m
-// exclusively, as NewMetric does).
+// skipping disabled edges. The first call copies the shared base
+// cliques. Caller holds the write lock (or owns m exclusively, as NewBase
+// does).
 func (m *Metric) computeCellLocked(c int32) {
 	ov := m.ov
-	csr := ov.csr
+	csr := m.csr
+	if !m.ownClique {
+		m.clique = append([]float64(nil), m.clique...)
+		m.ownClique = true
+	}
+	if len(m.dist) == 0 {
+		m.dist = make([]float64, csr.N)
+		m.stamp = make([]uint64, csr.N)
+	}
 	b0 := ov.cellBOff[c]
 	k := ov.boundaryCount(c)
-	base := m.cliqueOff[c]
+	base := m.base.cliqueOff[c]
 	for i := 0; i < k; i++ {
 		src := ov.bNode[b0+int32(i)]
 		m.cur++
@@ -154,9 +252,9 @@ func (m *Metric) computeCellLocked(c int32) {
 // against the captured base.
 func (m *Metric) cellInteriorOffBase(c int32) bool {
 	ov := m.ov
-	disabled := ov.csr.Disabled
+	disabled, base := m.csr.Disabled, m.base.disabled
 	for i, end := ov.cellEOff[c], ov.cellEOff[c+1]; i < end; i++ {
-		if e := ov.cellEdges[i]; disabled[e] != m.baseDisabled[e] {
+		if e := ov.cellEdges[i]; disabled[e] != base[e] {
 			return true
 		}
 	}
@@ -220,12 +318,29 @@ func (m *Metric) drainLocked(ctx context.Context) int {
 
 // atBaseLocked reports whether the live disabled flags currently equal
 // the metric's base state — the only state the target-label cache
-// serves. One linear pass over the flags with an early out on the first
-// difference; microseconds against the label build it gates.
+// serves.
 func (m *Metric) atBaseLocked() bool {
-	disabled := m.ov.csr.Disabled
-	for e, d := range m.baseDisabled {
-		if disabled[e] != d {
+	return sameFlags(m.csr.Disabled, m.base.disabled)
+}
+
+// sameFlags reports whether two flag slices are equal. Every attack run
+// makes this check over every edge of the city before it reads the label
+// cache; comparing fixed-size array chunks compiles to a memory compare,
+// which on full-size Chicago (78k edges) takes about 2 µs where an
+// element loop took about 100 µs, a large share of a typical attack.
+func sameFlags(a, b []bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	const chunk = 1024
+	i := 0
+	for ; i+chunk <= len(a); i += chunk {
+		if *(*[chunk]bool)(a[i : i+chunk]) != *(*[chunk]bool)(b[i : i+chunk]) {
+			return false
+		}
+	}
+	for ; i < len(a); i++ {
+		if a[i] != b[i] {
 			return false
 		}
 	}
@@ -243,5 +358,5 @@ func (m *Metric) ensureSettled() {
 	m.mu.Unlock()
 }
 
-// Snapshot returns the frozen snapshot the overlay was built over.
-func (m *Metric) Snapshot() *graph.Snapshot { return m.ov.snap }
+// Snapshot returns the snapshot m is bound to.
+func (m *Metric) Snapshot() *graph.Snapshot { return m.snap }

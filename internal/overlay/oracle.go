@@ -22,7 +22,11 @@ import (
 //   - The witness path's EDGES can differ only when distinct paths tie
 //     at identical float length (Dijkstra-order vs A*-potential
 //     tie-breaking); on jittered weights ties do not occur and the
-//     witness is bit-identical too.
+//     witness is bit-identical too. A tie with pstar itself can change
+//     the Length as well: when the first search returns another path of
+//     pstar's float length here and pstar under A*, the two oracles go
+//     on to different witnesses, both within the bound (found by
+//     FuzzViolatingMatchesCSR on a lattice weighted in tenths).
 //
 // tl must have been built (BuildTargetLabels) on this graph in a state
 // whose enabled-edge set contained every currently enabled edge — the

@@ -35,12 +35,13 @@ const maxCell = 64
 
 // Overlay is the topology half of the CRP structure: the partition,
 // boundary indexing, and cross-cell arc lists. It is immutable after
-// Build and safe for any number of concurrent readers. Weight-dependent
-// state (the cliques) lives in Metric so that edge disables never touch
-// the Overlay.
+// Build and safe for any number of concurrent readers. It keeps no
+// snapshot and reads no disabled flags: every snapshot sharing the
+// frozen image it was built from (graph.Snapshot.Rebind) can use it.
+// Disabled-dependent state (the cliques) lives in Base and Metric, so
+// edge disables never touch the Overlay.
 type Overlay struct {
-	snap *graph.Snapshot
-	csr  graph.CSRView
+	n, m int // node and edge count of the frozen image
 
 	numCells  int
 	cell      []int32 // node -> leaf cell
@@ -89,7 +90,7 @@ type Overlay struct {
 func Build(ctx context.Context, snap *graph.Snapshot, seed int64) (*Overlay, error) {
 	csr := snap.View()
 	n, m := csr.N, csr.M
-	ov := &Overlay{snap: snap, csr: csr}
+	ov := &Overlay{n: n, m: m}
 
 	b := &bisector{
 		csr:      csr,
@@ -184,14 +185,13 @@ func Build(ctx context.Context, snap *graph.Snapshot, seed int64) (*Overlay, err
 		}
 	}
 
-	ov.buildCrossArcs()
+	ov.buildCrossArcs(csr)
 	return ov, nil
 }
 
 // buildCrossArcs assembles the forward and reverse cross-cell arc CSR
 // over global boundary indices, preserving per-node slot order.
-func (ov *Overlay) buildCrossArcs() {
-	csr := ov.csr
+func (ov *Overlay) buildCrossArcs(csr graph.CSRView) {
 	ov.xOff = make([]int32, ov.nb+1)
 	ov.rxOff = make([]int32, ov.nb+1)
 	for u := 0; u < csr.N; u++ {

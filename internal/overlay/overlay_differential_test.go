@@ -34,7 +34,7 @@ func diffFixture(t testing.TB, city citygen.City, seed int64) (*roadnet.Network,
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := overlay.NewMetric(context.Background(), ov)
+	m, err := overlay.NewMetric(context.Background(), ov, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestQueryAfterSetRoadRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := overlay.NewMetric(context.Background(), ov)
+	m, err := overlay.NewMetric(context.Background(), ov, snap)
 	if err != nil {
 		t.Fatal(err)
 	}

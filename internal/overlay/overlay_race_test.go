@@ -31,7 +31,7 @@ func TestConcurrentCustomizeAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := overlay.NewMetric(context.Background(), ov)
+	m, err := overlay.NewMetric(context.Background(), ov, snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,11 +129,11 @@ type Querier struct {
 
 // NewQuerier returns a Querier over m.
 func NewQuerier(m *Metric) *Querier {
-	n := m.ov.csr.N
+	n := m.csr.N
 	return &Querier{
 		m:   m,
 		ov:  m.ov,
-		csr: m.ov.csr,
+		csr: m.csr,
 		// Epoch 1 so the zero-filled ban arrays start with nothing
 		// banned; epoch 0 would read every node and edge as banned.
 		banEpoch: 1,
@@ -143,7 +143,7 @@ func NewQuerier(m *Metric) *Querier {
 		rdist:    make([]float64, n),
 		rstamp:   make([]uint64, n),
 		nodeBan:  make([]uint64, n),
-		edgeBan:  make([]uint64, m.ov.csr.M),
+		edgeBan:  make([]uint64, m.csr.M),
 	}
 }
 
@@ -180,46 +180,30 @@ func (q *Querier) valid(v graph.NodeID) bool { return v >= 0 && int(v) < q.csr.N
 // it. Cancelling mid-sweep leaves some labels +Inf, which makes
 // dependent queries report "no path" (the cancelled-query contract).
 //
-// Builds at the metric's base state (the disabled flags NewMetric saw)
-// are served from and stored into the metric's label cache: base labels
-// are exact for that state forever, so every attack run against a
-// destination after the first reuses them for free.
+// Builds at the base state (the disabled flags NewBase saw) are served
+// from and stored into the base's label cache, which every metric bound
+// to that base shares: base labels are exact for that state forever, so
+// every attack run against a destination after the first, on any worker,
+// reuses them for free.
 func (q *Querier) BuildTargetLabels(t graph.NodeID) *TargetLabels {
 	m := q.m
 	m.ensureSettled()
 	m.mu.RLock()
-	base := m.atBaseLocked()
-	if base {
-		if tl := m.tlCache[t]; tl != nil {
-			m.mu.RUnlock()
-			return tl
-		}
+	defer m.mu.RUnlock()
+	if !m.atBaseLocked() {
+		return q.buildTargetLabelsLocked(t)
 	}
-	tl := q.buildTargetLabelsLocked(t)
-	m.mu.RUnlock()
-	// Cache only complete base-state builds: a cancelled sweep leaves
-	// +Inf holes that must not outlive this query.
-	if base && !q.interrupted() {
-		m.mu.Lock()
-		if len(m.tlCache) >= tlCacheMax {
-			// Evict one arbitrary entry: the cache exists for the few
-			// hot destinations attack loops hammer, not to index every
-			// target a query server is ever asked about.
-			for old := range m.tlCache {
-				delete(m.tlCache, old)
-				break
-			}
-		}
-		m.tlCache[t] = tl
-		m.mu.Unlock()
-	}
-	return tl
+	// Cache only complete builds: a cancelled sweep leaves +Inf holes
+	// that must not outlive this query.
+	return m.base.labelsFor(t, func() (*TargetLabels, bool) {
+		tl := q.buildTargetLabelsLocked(t)
+		return tl, !q.interrupted()
+	})
 }
 
-// tlCacheMax bounds the per-metric base-state label cache. Labels cost
-// O(N) memory each; a few dozen covers every destination an experiment
-// sweep or attack campaign touches while keeping a long-lived server's
-// footprint bounded.
+// tlCacheMax bounds a base's label cache. Labels cost O(N) memory each;
+// a few dozen covers every destination an experiment sweep or attack
+// campaign touches while keeping a long-lived server's footprint bounded.
 const tlCacheMax = 64
 
 func (q *Querier) buildTargetLabelsLocked(t graph.NodeID) *TargetLabels {
@@ -284,7 +268,7 @@ func (q *Querier) buildTargetLabelsLocked(t graph.NodeID) *TargetLabels {
 		b0 := ov.cellBOff[c]
 		k := int32(ov.boundaryCount(c))
 		j := int64(gb - b0)
-		base := q.m.cliqueOff[c]
+		base := q.m.base.cliqueOff[c]
 		for i := int32(0); i < k; i++ {
 			w := q.m.clique[base+int64(i)*int64(k)+j]
 			if math.IsInf(w, 1) {
@@ -484,12 +468,12 @@ func (q *Querier) buildPath(s, t graph.NodeID) graph.Path {
 	return graph.Path{Nodes: nodes, Edges: edges, Length: q.dist[t]}
 }
 
-// edgeFrom/edgeTo resolve an edge's endpoints from the snapshot's graph
+// edgeFrom/edgeTo resolve an edge's endpoints from the metric's graph
 // (same source of truth as Router.buildPath).
 func (q *Querier) edgeFrom(e graph.EdgeID) graph.NodeID {
-	return q.ov.snap.Graph().Arc(e).From
+	return q.m.snap.Graph().Arc(e).From
 }
 
 func (q *Querier) edgeTo(e graph.EdgeID) graph.NodeID {
-	return q.ov.snap.Graph().Arc(e).To
+	return q.m.snap.Graph().Arc(e).To
 }

@@ -1,0 +1,172 @@
+package roadnet
+
+import (
+	"context"
+	"math"
+	"sync"
+	"testing"
+
+	"altroute/internal/graph"
+)
+
+// sameArrays reports whether two snapshots read the same CSR arrays.
+func sameArrays(a, b *graph.Snapshot) bool {
+	va, vb := a.View(), b.View()
+	return &va.FwdW[0] == &vb.FwdW[0] && &va.RevOff[0] == &vb.RevOff[0] && &va.W[0] == &vb.W[0]
+}
+
+// TestCloneSharesFrozenImage: a clone reads its source's CSR arrays
+// through a snapshot bound to its own graph and disabled flags, and
+// shares the oracle memo, until either side's SetRoad drops its own.
+func TestCloneSharesFrozenImage(t *testing.T) {
+	n, _ := testNet(t)
+	snap := n.Snapshot(WeightTime)
+	c := n.Clone()
+	cs := c.Snapshot(WeightTime)
+	if cs == snap || cs.Graph() != c.Graph() || !cs.Valid() {
+		t.Fatal("clone snapshot is not bound to the clone's graph")
+	}
+	if !sameArrays(snap, cs) {
+		t.Fatal("clone froze its own arrays instead of sharing its source's")
+	}
+	if n.snaps[WeightTime].memo != c.snaps[WeightTime].memo {
+		t.Fatal("clone does not share its source's oracle memo")
+	}
+
+	c.Graph().DisableEdge(0)
+	if !cs.View().Disabled[0] || snap.View().Disabled[0] {
+		t.Fatal("a cut on the clone is not confined to the clone's snapshot")
+	}
+	c.Graph().EnableEdge(0)
+
+	// A weight type the source never froze is frozen by the clone itself.
+	if sameArrays(n.Snapshot(WeightLength), c.Snapshot(WeightLength)) {
+		t.Fatal("clone shares a snapshot its source froze after the clone was cut")
+	}
+
+	memo := c.snaps[WeightTime].memo
+	r := n.Road(0)
+	r.SpeedMS *= 2
+	if err := n.SetRoad(0, r); err != nil {
+		t.Fatal(err)
+	}
+	if after := n.Snapshot(WeightTime); after == snap || sameArrays(after, snap) || n.snaps[WeightTime].memo == memo {
+		t.Fatal("SetRoad kept the source's frozen image or memo")
+	}
+	if c.Snapshot(WeightTime) != cs || c.snaps[WeightTime].memo != memo {
+		t.Fatal("SetRoad on the source dropped the clone's frozen image")
+	}
+}
+
+// TestQuerierMemo: the first Querier call builds the overlay under its
+// context and memoizes it only when the build completes; networks
+// sharing a frozen image then share one label cache.
+func TestQuerierMemo(t *testing.T) {
+	n, nodes := testNet(t)
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if q := n.Querier(dead, WeightTime); q != nil {
+		t.Fatal("Querier built on a dead context")
+	}
+	if n.snaps[WeightTime].memo.base != nil {
+		t.Fatal("a dead-context build was memoized")
+	}
+	c := n.Clone()
+	qn := n.Querier(context.Background(), WeightTime)
+	qc := c.Querier(context.Background(), WeightTime)
+	if qn == nil || qc == nil {
+		t.Fatal("Querier returned nil on a live context")
+	}
+	if qn.Metric().Snapshot() != n.Snapshot(WeightTime) || qc.Metric().Snapshot() != c.Snapshot(WeightTime) {
+		t.Fatal("a Querier's metric is not bound to its own network's snapshot")
+	}
+	if qn.BuildTargetLabels(nodes[3]) != qc.BuildTargetLabels(nodes[3]) {
+		t.Fatal("a network and its clone built separate base-state labels")
+	}
+}
+
+// TestPotentialMemo: a destination's potential is computed once per
+// frozen image while the caller is at the image's disabled state, and
+// fresh (unshared) in any other state.
+func TestPotentialMemo(t *testing.T) {
+	n, nodes := testNet(t)
+	c := n.Clone() // no snapshot yet: the clone freezes its own image
+	d := nodes[3]
+	fresh := func(net *Network) *graph.Potential {
+		r := graph.NewRouter(net.Graph())
+		return r.ReversePotential(d, net.Weight(WeightTime))
+	}
+	samePot := func(label string, got, want *graph.Potential) {
+		t.Helper()
+		for v := 0; v < n.NumIntersections(); v++ {
+			if g, w := got.At(graph.NodeID(v)), want.At(graph.NodeID(v)); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: potential at %d is %v, want %v", label, v, g, w)
+			}
+		}
+	}
+
+	p := n.Potential(WeightTime, d)
+	samePot("memoized", p, fresh(n))
+	if n.Potential(WeightTime, d) != p {
+		t.Fatal("a second call recomputed the potential")
+	}
+	if c.Potential(WeightTime, d) == p {
+		t.Fatal("a clone cut before the freeze shares its source's potentials")
+	}
+	shared := n.Clone()
+	if shared.Potential(WeightTime, d) != p {
+		t.Fatal("a clone cut after the freeze recomputed the potential")
+	}
+
+	e := shared.Graph().OutEdges(nodes[1])[0]
+	shared.Graph().DisableEdge(e)
+	cut := shared.Potential(WeightTime, d)
+	if cut == p {
+		t.Fatal("a clone off the base state was served the shared potential")
+	}
+	samePot("cut", cut, fresh(shared))
+	shared.Graph().EnableEdge(e)
+	if shared.Potential(WeightTime, d) != p {
+		t.Fatal("a clone back at the base state was not served the shared potential")
+	}
+
+	r := n.Road(e)
+	r.SpeedMS *= 2
+	if err := n.SetRoad(e, r); err != nil {
+		t.Fatal(err)
+	}
+	after := n.Potential(WeightTime, d)
+	if after == p {
+		t.Fatal("SetRoad kept the memoized potential")
+	}
+	samePot("after SetRoad", after, fresh(n))
+}
+
+// TestClonesBuildMemoConcurrently cuts clones of one network and asks
+// each, concurrently, for a Querier, labels and a potential: under -race
+// this covers the memo's locking, and every clone must end up with the
+// same labels and potential.
+func TestClonesBuildMemoConcurrently(t *testing.T) {
+	n, nodes := testNet(t)
+	n.Snapshot(WeightTime)
+	const clones = 4
+	labels := make([]any, clones)
+	pots := make([]*graph.Potential, clones)
+	var wg sync.WaitGroup
+	for i := 0; i < clones; i++ {
+		c := n.Clone()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q := c.Querier(context.Background(), WeightTime)
+			labels[i] = q.BuildTargetLabels(nodes[2])
+			pots[i] = c.Potential(WeightTime, nodes[2])
+		}()
+	}
+	wg.Wait()
+	for i := 1; i < clones; i++ {
+		if labels[i] != labels[0] || pots[i] != pots[0] {
+			t.Fatalf("clone %d got its own labels or potential", i)
+		}
+	}
+}

@@ -194,10 +194,12 @@ type Network struct {
 	// graph's topology generation it keys "is this frozen image current":
 	// graph.Snapshot.Valid covers topology, wgen covers weights.
 	wgen uint64
-	// snaps caches one frozen CSR snapshot per weight type (see Snapshot).
-	// Dropped on SetRoad — the one mutation that changes weights without
-	// moving the graph's generation counter.
-	snaps map[WeightType]*graph.Snapshot
+	// snaps caches one frozen CSR snapshot per weight type (see Snapshot),
+	// each with its oracle memo (see Querier). Dropped on SetRoad — the one
+	// mutation that changes weights without moving the graph's generation
+	// counter; an entry whose snapshot a topology change invalidated is
+	// replaced on its next use.
+	snaps map[WeightType]*frozen
 }
 
 // NewNetwork returns an empty road network with the given display name.
@@ -321,7 +323,7 @@ func (n *Network) SetRoad(e graph.EdgeID, r Road) error {
 	n.snapMu.Lock()
 	n.roads[e] = r
 	n.wgen++
-	n.snaps = nil // materialized snapshot weights are now stale
+	n.snaps = nil // materialized snapshot weights and the oracle memos are now stale
 	n.snapMu.Unlock()
 	return nil
 }
@@ -342,9 +344,11 @@ func (n *Network) Router() *graph.Router { return graph.NewRouter(n.g) }
 // Snapshot returns a frozen CSR snapshot of the network's graph under the
 // given weight type (see graph.Freeze), cached across calls: the pooled
 // server networks and experiment workers reuse one snapshot for every
-// attack on the same network instead of re-freezing per request. A
-// snapshot invalidated by topology growth is rebuilt here; disabling and
-// enabling segments (attack cuts, ResetDisabled) never invalidates it.
+// attack on the same network instead of re-freezing per request, and a
+// clone shares the arrays of the snapshot its source held when it was cut
+// (see Clone). A snapshot invalidated by topology growth is rebuilt here;
+// disabling and enabling segments (attack cuts, ResetDisabled) never
+// invalidates it.
 //
 // Snapshot synchronizes with SetRoad (and other Snapshot callers): the
 // freeze runs inside the same critical section that SetRoad publishes new
@@ -352,15 +356,22 @@ func (n *Network) Router() *graph.Router { return graph.NewRouter(n.g) }
 // post-SetRoad image, never a torn or stale one. Concurrent Snapshot with
 // topology mutation remains unsupported, as on the underlying Graph.
 func (n *Network) Snapshot(t WeightType) *graph.Snapshot {
+	return n.frozenFor(t).snap
+}
+
+// frozenFor returns n's frozen image for t with its oracle memo, freezing
+// a new image (with an empty memo) when none is cached or the cached one
+// is stale.
+func (n *Network) frozenFor(t WeightType) *frozen {
 	n.snapMu.Lock()
 	defer n.snapMu.Unlock()
-	if c, ok := n.snaps[t]; ok && c.Valid() {
-		return c
+	if f, ok := n.snaps[t]; ok && f.snap.Valid() {
+		return f
 	}
 	if n.snaps == nil {
-		n.snaps = make(map[WeightType]*graph.Snapshot)
+		n.snaps = make(map[WeightType]*frozen)
 	}
-	c := graph.Freeze(n.g, n.Weight(t))
-	n.snaps[t] = c
-	return c
+	f := newFrozen(graph.Freeze(n.g, n.Weight(t)))
+	n.snaps[t] = f
+	return f
 }

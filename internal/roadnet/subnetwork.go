@@ -55,10 +55,16 @@ func (n *Network) LargestComponent() (*Network, map[graph.NodeID]graph.NodeID) {
 // concurrently with a SetRoad observes either the old or the new
 // attributes, never a torn mix; the clone's weight generation matches what
 // it copied.
+//
+// The clone does not freeze again: for every weight type whose snapshot
+// n holds, the clone gets a snapshot sharing its CSR arrays, bound to the
+// clone's own disabled flags (graph.Snapshot.Rebind), and shares its
+// oracle memo, so the partition, base cliques, target labels and reverse
+// potentials built by any of them serve all of them.
 func (n *Network) Clone() *Network {
 	n.snapMu.Lock()
 	defer n.snapMu.Unlock()
-	return &Network{
+	c := &Network{
 		g:      n.g.Clone(),
 		roads:  append([]Road(nil), n.roads...),
 		coords: append([]geo.Point(nil), n.coords...),
@@ -66,4 +72,14 @@ func (n *Network) Clone() *Network {
 		name:   n.name,
 		wgen:   n.wgen,
 	}
+	for t, f := range n.snaps {
+		if !f.snap.Valid() {
+			continue
+		}
+		if c.snaps == nil {
+			c.snaps = make(map[WeightType]*frozen, len(n.snaps))
+		}
+		c.snaps[t] = &frozen{snap: f.snap.Rebind(c.g, c.Weight(t)), memo: f.memo}
+	}
+	return c
 }
