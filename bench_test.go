@@ -201,12 +201,12 @@ func BenchmarkTableIX(b *testing.B) {
 			var table experiment.Table
 			for i := 0; i < b.N; i++ {
 				var err error
-				table, err = experiment.RunTableOnUnits(net, units, experiment.Spec{
+				table, err = experiment.RunTableOnUnitsParallelCtx(context.Background(), net, units, experiment.Spec{
 					Net:        net,
 					WeightType: combo.wt,
 					Seed:       benchSeed,
 					PathRank:   benchRank,
-				})
+				}, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -460,9 +460,9 @@ func BenchmarkBetweennessParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkTableParallel compares the serial and parallel table runners on
-// the same prepared workload (results are bit-for-bit identical; only the
-// wall clock differs).
+// BenchmarkTableParallel runs the table runner on one worker ("serial") and
+// on every core ("parallel") over the same prepared workload (results are
+// bit-for-bit identical; only the wall clock differs).
 func BenchmarkTableParallel(b *testing.B) {
 	net, units := benchWorkload(b, citygen.Boston, roadnet.WeightTime)
 	spec := experiment.Spec{
@@ -473,14 +473,14 @@ func BenchmarkTableParallel(b *testing.B) {
 	}
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := experiment.RunTableOnUnits(net, units, spec); err != nil {
+			if _, err := experiment.RunTableOnUnitsParallelCtx(context.Background(), net, units, spec, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := experiment.RunTableOnUnitsParallel(net, units, spec, 0); err != nil {
+			if _, err := experiment.RunTableOnUnitsParallelCtx(context.Background(), net, units, spec, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -131,7 +131,7 @@ func run(args []string) error {
 		seed     = fs.Int64("seed", 1, "random seed")
 		rank     = fs.Int("rank", 100, "p* path rank (the paper uses 100)")
 		sources  = fs.Int("sources", 10, "random sources per hospital")
-		workers  = fs.Int("workers", 0, "parallel cell workers (0 = all cores, 1 = serial)")
+		workers  = fs.Int("workers", 0, "parallel cell workers (0 = all cores)")
 		timeout  = fs.Duration("timeout", 0, "per-attack deadline (0 = none); timed-out LP-PathCover attacks degrade to greedy covers")
 		ckptPath = fs.String("checkpoint", "", "journal completed attacks to this file and resume from it")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -168,7 +168,7 @@ func run(args []string) error {
 			}
 		}()
 	}
-	// SIGINT/SIGTERM cancel the run context: the table runners stop at their
+	// SIGINT/SIGTERM cancel the run context: the table runner stops at its
 	// next poll point, the partial table is rendered, and the checkpoint
 	// (if any) is flushed so the next invocation resumes.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -245,12 +245,9 @@ func run(args []string) error {
 	return nil
 }
 
-// runTable executes one table under the run context, spreading cells across
-// workers unless the serial runner was requested.
+// runTable executes one table under the run context, spreading its cells
+// across r.workers workers.
 func (r *runner) runTable(spec experiment.Spec) (experiment.Table, error) {
-	if r.workers == 1 {
-		return experiment.RunTableCtx(r.ctx, spec)
-	}
 	units, err := experiment.SampleUnits(spec.Net, spec)
 	if err != nil {
 		return experiment.Table{}, err

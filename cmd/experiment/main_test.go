@@ -1,10 +1,14 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"altroute"
+	"altroute/internal/citygen"
 )
 
 func capture(t *testing.T, f func() error) (string, error) {
@@ -63,8 +67,9 @@ func TestRunSingleAttackTable(t *testing.T) {
 	}
 }
 
-// TestRunTableWorkers smoke-tests the -workers flag: the parallel runner
-// must produce the same rendered table as the serial one on the same spec.
+// TestRunTableWorkers checks the -workers flag: one worker (serial) and
+// two must render the same table, on fresh networks and on a network
+// whose memo an earlier table run already built.
 func TestRunTableWorkers(t *testing.T) {
 	args := []string{"-table", "3", "-scale", "0.02", "-sources", "1", "-rank", "6"}
 	serial, err := capture(t, func() error { return run(append(args, "-workers", "1")) })
@@ -78,10 +83,30 @@ func TestRunTableWorkers(t *testing.T) {
 	if !strings.Contains(parallel, "TABLE III") {
 		t.Errorf("parallel output missing table:\n%s", parallel)
 	}
-	// The parallel runner guarantees bit-identical cells; averaged runtimes
-	// differ run to run, so compare everything but the Runtime columns.
+	// The runner guarantees bit-identical cells; averaged runtimes differ
+	// run to run, so compare everything but the Runtime columns.
 	if got, want := stripRuntimes(parallel), stripRuntimes(serial); got != want {
 		t.Errorf("parallel table differs from serial:\n--- parallel\n%s\n--- serial\n%s", got, want)
+	}
+
+	// Successive tables on one network: only the first builds its memo.
+	r := &runner{scale: 0.02, seed: 1, rank: 6, sources: 1, ctx: context.Background(),
+		nets: map[citygen.City]*altroute.Network{}}
+	spec, err := r.spec(tableSpecs[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, workers := range []int{2, 1, 2} {
+		r.workers = workers
+		table, err := r.runTable(spec)
+		if err != nil {
+			t.Fatalf("table %d on %d workers: %v", i+1, workers, err)
+		}
+		var sb strings.Builder
+		table.Render(&sb)
+		if got := stripRuntimes(sb.String()); !strings.Contains(stripRuntimes(serial), got) {
+			t.Errorf("table %d on %d workers differs from the serial run:\n%s\n--- serial\n%s", i+1, workers, got, serial)
+		}
 	}
 }
 

@@ -145,6 +145,7 @@ func TestLedgerRepeatedCompactionAdvancesStub(t *testing.T) {
 //     before removal): the stub is authoritative, leftovers are removed;
 //  3. stub in place, segments gone: the completed state, replays as-is.
 func TestLedgerKillMidCompactionStatesHeal(t *testing.T) {
+	t.Parallel()
 	// Fixture: a closed, multi-segment ledger (pre) and its compacted twin
 	// (post) — same appends under the same fixed clock, so the stub bytes
 	// are exactly what an interrupted compaction of pre would have written.

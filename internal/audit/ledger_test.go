@@ -269,6 +269,7 @@ func TestLedgerTimedFlushSeals(t *testing.T) {
 // ErrChainBroken each time — the acceptance property that an interior
 // alteration can never go unnoticed.
 func TestLedgerDetectsFlippedByteAnywhere(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	l := openTest(t, dir, func(c *Config) { c.FlushRecords = 2 })
 	appendN(t, l, 0, 4) // two sealed batches

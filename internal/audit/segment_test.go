@@ -140,6 +140,7 @@ func TestVerifyDirDeletedInteriorSegmentRefused(t *testing.T) {
 // last segment moves back into the active file) is exercised by the cuts
 // that land before the final seal line.
 func TestLedgerKillMidRotationByteSweep(t *testing.T) {
+	t.Parallel()
 	// One rotation: r0, r1, seal, renamed to segment 0; active is empty.
 	dir := t.TempDir()
 	l := openRotating(t, dir, nil)

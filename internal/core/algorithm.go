@@ -77,9 +77,6 @@ type Options struct {
 	// 0 means no per-attack deadline (an ancestor context deadline, if
 	// any, still applies).
 	Timeout time.Duration
-	// MaxPivots bounds simplex pivots per LP solve (LP-PathCover only);
-	// 0 uses the solver default. See lp.Problem.MaxPivots.
-	MaxPivots int
 }
 
 func (o *Options) fill() {

@@ -243,7 +243,7 @@ func lpCover(ctx context.Context, pool []graph.Path, p *Problem, pstarSet map[gr
 		}
 	}
 
-	prob := lp.Problem{Objective: make([]float64, len(edges)), MaxPivots: opts.MaxPivots}
+	prob := lp.Problem{Objective: make([]float64, len(edges))}
 	for j, e := range edges {
 		prob.Objective[j] = p.Cost(e)
 	}

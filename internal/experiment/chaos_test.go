@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -62,7 +63,7 @@ func TestChaosWorkerPanicEveryUnitStillCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := injectedCtx(1, faultinject.PointWorkerPanic, faultinject.Rule{Every: 1})
-	table, err := RunTableOnUnitsCtx(ctx, net, units, spec)
+	table, err := RunTableOnUnitsParallelCtx(ctx, net, units, spec, 1)
 	if err != nil {
 		t.Fatalf("run err = %v", err)
 	}
@@ -84,7 +85,7 @@ func TestChaosPerAttackTimeoutCountedByKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := RunTableOnUnitsCtx(context.Background(), net, units, spec)
+	table, err := RunTableOnUnitsParallelCtx(context.Background(), net, units, spec, 1)
 	if err != nil {
 		t.Fatalf("run err = %v", err)
 	}
@@ -103,7 +104,7 @@ func TestChaosLPFailuresProduceDegradedCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := injectedCtx(1, faultinject.PointLPSolve, faultinject.Rule{Every: 1})
-	table, err := RunTableOnUnitsCtx(ctx, net, units, spec)
+	table, err := RunTableOnUnitsParallelCtx(ctx, net, units, spec, 1)
 	if err != nil {
 		t.Fatalf("run err = %v", err)
 	}
@@ -116,33 +117,43 @@ func TestChaosLPFailuresProduceDegradedCells(t *testing.T) {
 	}
 }
 
+// TestRunTableInterruptedReturnsPartialTable: a run whose context died
+// returns ErrInterrupted wrapping the cause, with a table that lists every
+// cell in job order, on one worker and on two.
 func TestRunTableInterruptedReturnsPartialTable(t *testing.T) {
 	net, spec := buildSmall(t)
-	spec.Algorithms = []core.Algorithm{core.AlgGreedyEdge}
+	spec.Algorithms = []core.Algorithm{core.AlgGreedyEdge, core.AlgGreedyEig}
 	units, err := SampleUnits(net, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	type job struct {
+		alg core.Algorithm
+		ct  roadnet.CostType
+	}
+	var want []job
+	for _, alg := range spec.Algorithms {
+		for _, ct := range roadnet.CostTypes() {
+			want = append(want, job{alg, ct})
+		}
+	}
 	cause := errors.New("operator abort")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
-	table, err := RunTableOnUnitsCtx(ctx, net, units, spec)
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
-	}
-	if !errors.Is(err, cause) {
-		t.Errorf("err = %v does not wrap the cancellation cause", err)
-	}
-	if len(table.Cells) == 0 || len(table.Cells) >= len(spec.Algorithms)*3+1 {
-		t.Errorf("partial table has %d cells", len(table.Cells))
-	}
-
-	// The parallel runner reports the same interruption.
-	table, err = RunTableOnUnitsParallelCtx(ctx, net, units, spec, 2)
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("parallel err = %v, want ErrInterrupted", err)
-	}
-	if len(table.Cells) == 0 {
-		t.Error("parallel partial table empty")
+	for _, workers := range []int{1, 2} {
+		table, err := RunTableOnUnitsParallelCtx(ctx, net, units, spec, workers)
+		if !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("%d workers: err = %v, want ErrInterrupted", workers, err)
+		}
+		if !errors.Is(err, cause) {
+			t.Errorf("%d workers: err = %v does not wrap the cancellation cause", workers, err)
+		}
+		var got []job
+		for _, c := range table.Cells {
+			got = append(got, job{c.Algorithm, c.CostType})
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%d workers: partial table cells %v, want %v", workers, got, want)
+		}
 	}
 }

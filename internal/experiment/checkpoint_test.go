@@ -49,8 +49,8 @@ func TestCheckpointKillAndResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The reference: one uninterrupted run, no checkpoint.
-	want, err := RunTableOnUnitsCtx(context.Background(), net, units, spec)
+	// The reference: one uninterrupted run on one worker, no checkpoint.
+	want, err := RunTableOnUnitsParallelCtx(context.Background(), net, units, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,16 +63,19 @@ func TestCheckpointKillAndResumeBitIdentical(t *testing.T) {
 
 	// Phase 1: "kill" the run mid-table. An injected stall on the 5th
 	// attack round hangs until the run deadline expires, deterministically
-	// interrupting the serial runner partway through the grid.
+	// interrupting the single worker partway through the grid.
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	ctx = faultinject.With(ctx, faultinject.New(1).Arm(faultinject.PointAttackStall, faultinject.Rule{OnHit: 5}))
 	spec.Checkpoint = ckpt
-	partial, err := RunTableOnUnitsCtx(ctx, net, units, spec)
+	partial, err := RunTableOnUnitsParallelCtx(ctx, net, units, spec, 1)
 	cancel()
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("phase 1 err = %v, want ErrInterrupted", err)
 	}
-	if len(partial.Cells) >= len(want.Cells) && partial.Cells[len(partial.Cells)-1].Runs+partial.Cells[len(partial.Cells)-1].Failures == len(units) {
+	if len(partial.Cells) != len(want.Cells) {
+		t.Fatalf("partial table has %d cells, want all %d", len(partial.Cells), len(want.Cells))
+	}
+	if last := partial.Cells[len(partial.Cells)-1]; last.Runs+last.Failures == len(units) {
 		t.Fatal("phase 1 was not actually interrupted mid-grid")
 	}
 	journaled := ckpt.Len()
@@ -97,7 +100,7 @@ func TestCheckpointKillAndResumeBitIdentical(t *testing.T) {
 		t.Fatalf("reopened journal has %d records, want %d", ckpt2.Len(), journaled)
 	}
 	spec.Checkpoint = ckpt2
-	got, err := RunTableOnUnitsCtx(context.Background(), net, units, spec)
+	got, err := RunTableOnUnitsParallelCtx(context.Background(), net, units, spec, 1)
 	if err != nil {
 		t.Fatalf("phase 2: %v", err)
 	}
@@ -108,7 +111,7 @@ func TestCheckpointKillAndResumeBitIdentical(t *testing.T) {
 
 	// A third run replays everything from the journal: no attack executes.
 	before := ckpt2.Len()
-	again, err := RunTableOnUnitsCtx(context.Background(), net, units, spec)
+	again, err := RunTableOnUnitsParallelCtx(context.Background(), net, units, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +123,9 @@ func TestCheckpointKillAndResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCheckpointParallelResumeMatchesSerial interrupts and resumes a
+// two-worker run and compares it with one worker (serial) on a separately
+// built network.
 func TestCheckpointParallelResumeMatchesSerial(t *testing.T) {
 	net, spec := buildSmall(t)
 	spec.Algorithms = []core.Algorithm{core.AlgGreedyEdge}
@@ -127,7 +133,8 @@ func TestCheckpointParallelResumeMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunTableOnUnitsCtx(context.Background(), net, units, spec)
+	refNet, _ := buildSmall(t)
+	want, err := RunTableOnUnitsParallelCtx(context.Background(), refNet, units, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@
 //   - ANER — average number of edges removed,
 //   - ACRE — average cost of removed edges.
 //
-// RunTable regenerates one of Tables II-VIII; Aggregate builds Table IX;
-// RunThreshold builds Table X.
+// SampleUnits and RunTableOnUnitsParallelCtx regenerate one of Tables
+// II-VIII; Aggregate builds Table IX; RunThreshold builds Table X.
 package experiment
 
 import (
@@ -31,8 +31,9 @@ import (
 
 // Spec configures one table's worth of experiments.
 type Spec struct {
-	// Net is the street network to attack. If nil, the network is built
-	// from City, Scale, and Seed.
+	// Net is the street network RunThreshold measures. If nil, the
+	// network is built from City, Scale, and Seed. SampleUnits and the
+	// table runner take their network as an argument instead.
 	Net *roadnet.Network
 	// City selects a synthetic city preset when Net is nil.
 	City citygen.City
@@ -65,7 +66,7 @@ type Spec struct {
 	// is journaled, never for checkpoint replays — a replayed unit was
 	// audited when first computed). The server uses it to chain batch
 	// units into the audit ledger. Must be safe for concurrent use: the
-	// parallel runner invokes it from every worker.
+	// table runner invokes it from every worker.
 	Audit func(Record)
 }
 
@@ -103,8 +104,8 @@ var ErrNoHospitals = errors.New("experiment: network has no hospital POIs")
 // ErrSampling is returned when not enough viable sources exist.
 var ErrSampling = errors.New("experiment: could not sample enough viable sources")
 
-// ErrInterrupted is returned by the context-aware table runners when the run
-// context dies before the grid completes. The partial table accumulated so
+// ErrInterrupted is returned by the table runner when the run context
+// dies before the grid completes. The partial table accumulated so
 // far is returned alongside it; re-running with the same Spec.Checkpoint
 // resumes from the journal.
 var ErrInterrupted = errors.New("experiment: run interrupted")
@@ -161,7 +162,7 @@ func SampleUnits(net *roadnet.Network, spec Spec) ([]Unit, error) {
 	var units []Unit
 	var draws []graph.NodeID // drawn for the current hospital, in draw order
 	for _, h := range hospitals {
-		pot := net.Potential(spec.WeightType, h.Node)
+		pot := net.Potential(context.Background(), spec.WeightType, h.Node)
 		// At most workers evaluations are in flight, so no send blocks,
 		// including those of evaluations drained and dropped below.
 		results := make(chan sampled, workers)
@@ -322,73 +323,9 @@ func (t *Table) Cell(alg core.Algorithm, ct roadnet.CostType) *Cell {
 	return nil
 }
 
-// RunTable executes the full grid for one city and weight type.
-// RunTable is a thin context.Background() wrapper over RunTableCtx.
-func RunTable(spec Spec) (Table, error) {
-	return RunTableCtx(context.Background(), spec)
-}
-
-// RunTableCtx is RunTable under a context: the run can be cancelled between
-// attacks, returning the partial table joined with ErrInterrupted.
-func RunTableCtx(ctx context.Context, spec Spec) (Table, error) {
-	spec.fill()
-	net, err := buildNetwork(&spec)
-	if err != nil {
-		return Table{}, err
-	}
-	units, err := SampleUnits(net, spec)
-	if err != nil {
-		return Table{}, err
-	}
-	return RunTableOnUnitsCtx(ctx, net, units, spec)
-}
-
-// RunTableOnUnits executes the algorithm x cost grid over prepared units.
-// It is a thin context.Background() wrapper over RunTableOnUnitsCtx.
-func RunTableOnUnits(net *roadnet.Network, units []Unit, spec Spec) (Table, error) {
-	return RunTableOnUnitsCtx(context.Background(), net, units, spec)
-}
-
-// RunTableOnUnitsCtx executes the grid over prepared units under ctx.
-//
-// Cancellation is cooperative at unit granularity (and, through
-// core.RunCtx, inside each attack): when ctx dies, the cells finished so
-// far — plus the partially-filled current cell — are returned with an
-// ErrInterrupted error. With Spec.Checkpoint set, every completed unit is
-// journaled and replayed on the next run, so interrupt-and-rerun converges
-// on the same Table an uninterrupted run produces.
-func RunTableOnUnitsCtx(ctx context.Context, net *roadnet.Network, units []Unit, spec Spec) (Table, error) {
-	spec.fill()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	w := net.Weight(spec.WeightType)
-	// One frozen snapshot and one Querier serve every cell and unit of the
-	// run: attacks only toggle disabled flags, which the snapshot observes
-	// live, and the Querier's partition and base state are the network's
-	// memo, built by the first run on it.
-	snap := net.Snapshot(spec.WeightType)
-	q := net.Querier(ctx, spec.WeightType)
-	table := Table{
-		City:       net.Name(),
-		WeightType: spec.WeightType,
-		Units:      len(units),
-		Summary:    metrics.Summarize(net),
-	}
-	for _, alg := range spec.Algorithms {
-		for _, ct := range spec.CostTypes {
-			cell, err := runCell(ctx, net.Graph(), snap, q, w, net.Cost(ct), table.City, alg, ct, units, spec)
-			table.Cells = append(table.Cells, cell)
-			if err != nil {
-				return table, err
-			}
-		}
-	}
-	return table, nil
-}
-
-// runCell computes one (algorithm, cost type) cell over the units, shared by
-// the serial and parallel runners so both produce bit-identical cells. Units
+// runCell computes one (algorithm, cost type) cell over the units on one
+// worker's clone, attacking the units in order, so a cell's bits do not
+// depend on which worker ran it or how many workers there were. Units
 // found in spec.Checkpoint are replayed instead of recomputed; freshly
 // computed units are journaled. A dead ctx stops the loop: the partial cell
 // is returned with ErrInterrupted wrapping the context's cause.

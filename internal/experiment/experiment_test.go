@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -24,6 +25,21 @@ func smallSpec() Spec {
 		PathRank:           8,
 		SourcesPerHospital: 2,
 	}
+}
+
+// runTable runs spec's whole grid the way cmd/experiment does: build the
+// network, sample the units, run the table on every core.
+func runTable(spec Spec) (Table, error) {
+	spec.fill()
+	net, err := buildNetwork(&spec)
+	if err != nil {
+		return Table{}, err
+	}
+	units, err := SampleUnits(net, spec)
+	if err != nil {
+		return Table{}, err
+	}
+	return RunTableOnUnitsParallelCtx(context.Background(), net, units, spec, 0)
 }
 
 func TestSampleUnits(t *testing.T) {
@@ -156,9 +172,9 @@ func TestSampleUnitsPartialOnErrSampling(t *testing.T) {
 
 func TestRunTableFullGrid(t *testing.T) {
 	spec := smallSpec()
-	table, err := RunTable(spec)
+	table, err := runTable(spec)
 	if err != nil {
-		t.Fatalf("RunTable: %v", err)
+		t.Fatalf("runTable: %v", err)
 	}
 	if table.City != "Boston" || table.WeightType != roadnet.WeightTime {
 		t.Errorf("table header = %q/%v", table.City, table.WeightType)
@@ -210,9 +226,9 @@ func TestRunTableFullGrid(t *testing.T) {
 func TestRunTableWithBudgetRecordsFailures(t *testing.T) {
 	spec := smallSpec()
 	spec.Budget = 1e-6 // nothing is affordable
-	table, err := RunTable(spec)
+	table, err := runTable(spec)
 	if err != nil {
-		t.Fatalf("RunTable: %v", err)
+		t.Fatalf("runTable: %v", err)
 	}
 	failures := 0
 	for _, c := range table.Cells {
@@ -237,9 +253,9 @@ func TestRunTableOnPrebuiltNetwork(t *testing.T) {
 	spec.Net = net
 	spec.Algorithms = []core.Algorithm{core.AlgGreedyEdge}
 	spec.CostTypes = []roadnet.CostType{roadnet.CostUniform}
-	table, err := RunTable(spec)
+	table, err := runTable(spec)
 	if err != nil {
-		t.Fatalf("RunTable: %v", err)
+		t.Fatalf("runTable: %v", err)
 	}
 	if table.City != "Chicago" {
 		t.Errorf("city = %q, want Chicago (prebuilt net)", table.City)
@@ -311,7 +327,7 @@ func TestRenderers(t *testing.T) {
 	spec := smallSpec()
 	spec.Algorithms = []core.Algorithm{core.AlgGreedyEdge, core.AlgGreedyEig}
 	spec.CostTypes = []roadnet.CostType{roadnet.CostUniform, roadnet.CostWidth}
-	table, err := RunTable(spec)
+	table, err := runTable(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

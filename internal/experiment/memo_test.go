@@ -1,6 +1,6 @@
 package experiment
 
-// The runners share one oracle memo per network and weight type: the
+// Table runs share one oracle memo per network and weight type: the
 // partition overlay, base cliques, target labels and reverse potentials
 // are built by the first run and reused by every later run and worker
 // clone. These tests hold the reuse to the results of fresh builds.
@@ -19,14 +19,15 @@ import (
 )
 
 // TestRepeatedParallelTablesMatchSerialAndCSR runs three successive
-// parallel tables on one network at GOMAXPROCS 2 and 4: every one must
-// equal the serial runner's table and match the CSR reference attack for
+// tables on one network at GOMAXPROCS 2 and 4, each on all cores: every
+// one must equal the first table, run on one worker (serial) while the
+// network's memo was still empty, and match the CSR reference attack for
 // attack.
 func TestRepeatedParallelTablesMatchSerialAndCSR(t *testing.T) {
 	net, units, spec := oracleFixture(t)
 	ref := csrReference(t, net, units, spec)
 	serial := zeroRuntimes(matchCSRRecords(t, "serial", spec, ref, func(s Spec) (Table, error) {
-		return RunTableOnUnits(net, units, s)
+		return RunTableOnUnitsParallelCtx(context.Background(), net, units, s, 1)
 	}))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{2, 4} {
@@ -45,8 +46,8 @@ func TestRepeatedParallelTablesMatchSerialAndCSR(t *testing.T) {
 
 // TestTableAfterSetRoadMatchesFreshNetwork warms a network's memo, speeds
 // up every road on one unit's p* with SetRoad, and checks that sampling
-// and both runners then give what a freshly built network with the same
-// change gives. Faster roads make the old cliques, labels and potentials
+// and the runner on 1 and 2 workers then give what a freshly built network
+// with the same change gives. Faster roads make the old cliques, labels and potentials
 // overestimates, so a memo that survived SetRoad would show.
 func TestTableAfterSetRoadMatchesFreshNetwork(t *testing.T) {
 	spec := smallSpec()
@@ -63,7 +64,7 @@ func TestTableAfterSetRoadMatchesFreshNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunTableOnUnitsParallel(net, units, spec, 2); err != nil {
+	if _, err := RunTableOnUnitsParallelCtx(context.Background(), net, units, spec, 2); err != nil {
 		t.Fatal(err)
 	}
 	speedUp := func(n *roadnet.Network) {
@@ -82,21 +83,17 @@ func TestTableAfterSetRoadMatchesFreshNetwork(t *testing.T) {
 	got, gotErr := SampleUnits(net, spec)
 	want, wantErr := SampleUnits(fresh, spec)
 	sameSampling(t, "after SetRoad", got, gotErr, want, wantErr)
-	runners := map[string]func(*roadnet.Network) (Table, error){
-		"serial":   func(n *roadnet.Network) (Table, error) { return RunTableOnUnits(n, want, spec) },
-		"parallel": func(n *roadnet.Network) (Table, error) { return RunTableOnUnitsParallel(n, want, spec, 2) },
-	}
-	for name, run := range runners {
-		g, err := run(net)
+	for _, workers := range []int{1, 2} {
+		g, err := RunTableOnUnitsParallelCtx(context.Background(), net, want, spec, workers)
 		if err != nil {
-			t.Fatalf("%s on the mutated network: %v", name, err)
+			t.Fatalf("%d workers on the mutated network: %v", workers, err)
 		}
-		w, err := run(fresh)
+		w, err := RunTableOnUnitsParallelCtx(context.Background(), fresh, want, spec, workers)
 		if err != nil {
-			t.Fatalf("%s on the fresh network: %v", name, err)
+			t.Fatalf("%d workers on the fresh network: %v", workers, err)
 		}
 		if g, w = zeroRuntimes(g), zeroRuntimes(w); !reflect.DeepEqual(g, w) {
-			t.Fatalf("%s after SetRoad: table differs from a fresh network's:\n%+v\nwant\n%+v", name, g, w)
+			t.Fatalf("%d workers after SetRoad: table differs from a fresh network's:\n%+v\nwant\n%+v", workers, g, w)
 		}
 	}
 }

@@ -1,15 +1,16 @@
 package experiment
 
-// The table runners always answer oracle rounds through the partition
-// overlay. These tests hold them to the CSR oracle: every (algorithm,
-// cost type, unit) attack must match core.RunCtx on a Problem without a
+// The table runner always answers oracle rounds through the partition
+// overlay. These tests hold it to the CSR oracle: every (algorithm, cost
+// type, unit) attack must match core.RunCtx on a Problem without a
 // querier, including after a reused Querier saw a cancelled attack, and a
-// runner whose context is dead before the overlay is built must fall back
+// run whose context is dead before the overlay is built must fall back
 // instead of failing.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -51,7 +52,7 @@ func oracleFixture(t *testing.T) (*roadnet.Network, []Unit, Spec) {
 	return net, units, spec
 }
 
-// unitProblem is the Problem the runners build for unit u on net.
+// unitProblem is the Problem the runner builds for unit u on net.
 func unitProblem(net *roadnet.Network, snap *graph.Snapshot, u Unit, ct roadnet.CostType, spec Spec, q *overlay.Querier) core.Problem {
 	return core.Problem{
 		G: net.Graph(), Source: u.Source, Dest: u.Dest, PStar: u.PStar,
@@ -108,9 +109,10 @@ func sameOutcome(t *testing.T, label string, k attackKey, want, got attackOutcom
 	}
 }
 
-// TestRunnersMatchCSROracle checks the serial and the parallel runner's
-// records against the CSR reference: outcome, failure kind, edge count
-// and the exact cost bits of every attack.
+// TestRunnersMatchCSROracle checks the runner's records on one worker
+// (serial) and on two, each on a fresh network, against the CSR
+// reference: outcome, failure kind, edge count and the exact cost bits of
+// every attack.
 func TestRunnersMatchCSROracle(t *testing.T) {
 	net, units, spec := oracleFixture(t)
 	ref := csrReference(t, net, units, spec)
@@ -123,12 +125,14 @@ func TestRunnersMatchCSROracle(t *testing.T) {
 	if succeeded == 0 {
 		t.Fatal("no attack of the fixture succeeds: the comparison would be vacuous")
 	}
-	runners := map[string]func(Spec) (Table, error){
-		"serial":   func(s Spec) (Table, error) { return RunTableOnUnits(net, units, s) },
-		"parallel": func(s Spec) (Table, error) { return RunTableOnUnitsParallel(net, units, s, 2) },
-	}
-	for name, run := range runners {
-		matchCSRRecords(t, name, spec, ref, run)
+	for _, workers := range []int{1, 2} {
+		fresh, err := citygen.Build(spec.City, spec.Scale, spec.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchCSRRecords(t, fmt.Sprintf("%d workers", workers), spec, ref, func(s Spec) (Table, error) {
+			return RunTableOnUnitsParallelCtx(context.Background(), fresh, units, s, workers)
+		})
 	}
 }
 
@@ -180,8 +184,8 @@ func matchCSRRecords(t *testing.T, name string, spec Spec, ref map[attackKey]att
 	return table
 }
 
-// TestReusedQuerierAfterCancelledAttack reuses one worker's Querier the
-// way the runners do: first for an attack cancelled after its first cut,
+// TestReusedQuerierAfterCancelledAttack reuses one Querier the way a
+// runner worker does: first for an attack cancelled after its first cut,
 // then for the whole grid, whose Removed sets, costs and round counts
 // must equal the CSR oracle's.
 func TestReusedQuerierAfterCancelledAttack(t *testing.T) {
@@ -225,7 +229,7 @@ func TestReusedQuerierAfterCancelledAttack(t *testing.T) {
 }
 
 // TestDeadContextAtBuildFallsBack: with the context dead before the
-// overlay is built, Querier yields no querier, the runners return
+// overlay is built, Querier yields no querier, the runner returns
 // ErrInterrupted instead of failing, and a Problem without a querier runs
 // the CSR oracle. The dead build leaves nothing memoized: a later call
 // with a live context gets the overlay again, on the network and on its
@@ -240,11 +244,10 @@ func TestDeadContextAtBuildFallsBack(t *testing.T) {
 	if q := local.Querier(ctx, spec.WeightType); q != nil {
 		t.Fatal("Querier built a querier on a dead context")
 	}
-	if _, err := RunTableOnUnitsCtx(ctx, net, units, spec); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("serial runner on a dead context: err = %v, want ErrInterrupted", err)
-	}
-	if _, err := RunTableOnUnitsParallelCtx(ctx, net, units, spec, 2); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("parallel runner on a dead context: err = %v, want ErrInterrupted", err)
+	for _, workers := range []int{1, 2} {
+		if _, err := RunTableOnUnitsParallelCtx(ctx, net, units, spec, workers); !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("%d workers on a dead context: err = %v, want ErrInterrupted", workers, err)
+		}
 	}
 
 	ref := csrReference(t, net, units, spec)

@@ -11,27 +11,25 @@ import (
 	"altroute/internal/roadnet"
 )
 
-// RunTableOnUnitsParallel computes the same table as RunTableOnUnits but
-// spreads the (algorithm, cost type) cells across workers. It is a thin
-// context.Background() wrapper over RunTableOnUnitsParallelCtx.
-func RunTableOnUnitsParallel(net *roadnet.Network, units []Unit, spec Spec, workers int) (Table, error) {
-	return RunTableOnUnitsParallelCtx(context.Background(), net, units, spec, workers)
-}
-
-// RunTableOnUnitsParallelCtx is the parallel grid runner under a context.
-// Every worker runs on its own clone of the network (the attack algorithms
-// disable edges transactionally, which must not race), so results are
-// bit-for-bit identical to the serial runner, cell order included. The
-// clones share the network's frozen snapshot arrays and oracle memo, so
-// only the first run on a network builds the partition overlay.
-// workers <= 0 uses GOMAXPROCS.
+// RunTableOnUnitsParallelCtx executes the algorithm × cost grid over
+// prepared units (see SampleUnits) under ctx, spreading the (algorithm,
+// cost type) cells across workers. Every worker runs on its own clone of
+// the network (the attack algorithms disable edges transactionally, which
+// must not race), so the table is bit-for-bit the same for every worker
+// count, cell order included. The clones share the network's frozen
+// snapshot arrays and oracle memo, so only the first run on a network
+// builds the partition overlay. workers <= 0 uses GOMAXPROCS.
 //
 // A worker panic is recovered into that unit's failure (counted in
 // Cell.FailuresByKind under "panic"); the other workers and cells are
-// unaffected. When ctx dies, each worker finishes its poll interval and the
-// partial table — fully-computed cells plus whatever the interrupted cells
-// accumulated — is returned with ErrInterrupted. Spec.Checkpoint journaling
-// is safe for concurrent workers.
+// unaffected. When ctx dies, each worker finishes its poll interval and
+// the partial table is returned with ErrInterrupted wrapping the
+// context's cause. It lists every cell in job order: finished cells,
+// plus whatever the interrupted and unstarted cells replayed from the
+// checkpoint or accumulated. With Spec.Checkpoint set, every completed
+// unit is journaled (safely from concurrent workers) and replayed on the
+// next run, so interrupt-and-rerun converges on the table an
+// uninterrupted run produces.
 func RunTableOnUnitsParallelCtx(ctx context.Context, net *roadnet.Network, units []Unit, spec Spec, workers int) (Table, error) {
 	spec.fill()
 	if ctx == nil {

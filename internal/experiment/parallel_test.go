@@ -1,56 +1,61 @@
 package experiment
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"altroute/internal/citygen"
+	"altroute/internal/roadnet"
 )
 
-// TestParallelMatchesSerial verifies the parallel runner is bit-for-bit
-// identical to the serial one (run with -race to exercise the clone-based
-// isolation).
+// TestParallelMatchesSerial verifies the runner gives bit-for-bit the same
+// table on one worker (serial) as on four, on fresh networks and on
+// networks whose memo another run already built (run with -race to
+// exercise the clone-based isolation).
 func TestParallelMatchesSerial(t *testing.T) {
 	spec := smallSpec()
-	net, err := citygen.Build(spec.City, spec.Scale, spec.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	units, err := SampleUnits(net, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enabledBefore := net.Graph().NumEnabledEdges()
-	serial, err := RunTableOnUnits(net, units, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunTableOnUnitsParallel(net, units, spec, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Cells) != len(parallel.Cells) {
-		t.Fatalf("cell counts differ: %d vs %d", len(serial.Cells), len(parallel.Cells))
-	}
-	for i := range serial.Cells {
-		s, p := serial.Cells[i], parallel.Cells[i]
-		if s.Algorithm != p.Algorithm || s.CostType != p.CostType {
-			t.Fatalf("cell %d order differs", i)
+	build := func() *roadnet.Network {
+		net, err := citygen.Build(spec.City, spec.Scale, spec.Seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if s.ANER != p.ANER || s.ACRE != p.ACRE || s.Runs != p.Runs || s.Failures != p.Failures {
-			t.Errorf("cell %d differs: serial %+v parallel %+v", i, s, p)
+		return net
+	}
+	serialNet, parallelNet := build(), build()
+	units, err := SampleUnits(serialNet, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enabledBefore := serialNet.Graph().NumEnabledEdges()
+	run := func(net *roadnet.Network, workers int) Table {
+		t.Helper()
+		table, err := RunTableOnUnitsParallelCtx(context.Background(), net, units, spec, workers)
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		return zeroRuntimes(table)
+	}
+	serial := run(serialNet, 1)
+	for name, got := range map[string]Table{
+		"4 workers, fresh network":  run(parallelNet, 4),
+		"1 worker, warmed network":  run(parallelNet, 1),
+		"4 workers, warmed network": run(serialNet, 4),
+	} {
+		if !reflect.DeepEqual(got, serial) {
+			t.Errorf("%s: table differs from 1 worker on a fresh network:\n%+v\nwant\n%+v", name, got, serial)
 		}
 	}
 	// The original network must be untouched (POI attachment leaves some
 	// permanently removed edges, so compare against the pre-run count).
-	if net.Graph().NumEnabledEdges() != enabledBefore {
-		t.Error("parallel run mutated the shared network")
+	if serialNet.Graph().NumEnabledEdges() != enabledBefore {
+		t.Error("a run mutated the shared network")
 	}
 
 	// Degenerate worker counts.
-	if _, err := RunTableOnUnitsParallel(net, units, spec, 0); err != nil {
-		t.Errorf("workers=0: %v", err)
-	}
-	if _, err := RunTableOnUnitsParallel(net, units, spec, 99); err != nil {
-		t.Errorf("workers>cells: %v", err)
+	for _, workers := range []int{0, -1, 99} {
+		if got := run(serialNet, workers); !reflect.DeepEqual(got, serial) {
+			t.Errorf("workers=%d: table differs from 1 worker", workers)
+		}
 	}
 }

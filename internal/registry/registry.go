@@ -1,7 +1,8 @@
 // Package registry holds the serving-side read path of the attack
 // service: a registry of preloaded city shards, each wrapping one street
-// network with the frozen artifacts that make repeated attack queries
-// cheap —
+// network. The network itself memoizes the frozen artifacts that make
+// repeated attack queries cheap (roadnet.Network.Snapshot and Potential),
+// and a shard preloads them and adds the serving rules around them —
 //
 //   - one immutable CSR snapshot per weight type (graph.Freeze), shared
 //     read-only by every worker: read-only queries (p* generation, oracle
@@ -9,7 +10,8 @@
 //     network clone;
 //   - one reverse potential per (weight type, POI destination), computed
 //     once on the intact network and reused as the exact A* heuristic by
-//     every Yen search against that hospital;
+//     every Yen search against that hospital, on the master and on every
+//     pooled clone that shares its frozen image;
 //   - a generation counter that advances on every weight mutation
 //     (SetRoad), keying result caches: anything computed against
 //     generation g is correct forever *for generation g*, so a cache
@@ -44,12 +46,6 @@ func NormalizeCity(name string) string {
 	return strings.ReplaceAll(strings.ToLower(strings.TrimSpace(name)), " ", "-")
 }
 
-// potKey identifies one cached reverse potential.
-type potKey struct {
-	wt   roadnet.WeightType
-	dest graph.NodeID
-}
-
 // pooledClone is one pool entry: a private network clone stamped with the
 // shard generation it was cloned at, so a post-mutation release can
 // discard it instead of recycling stale weights.
@@ -58,8 +54,9 @@ type pooledClone struct {
 	gen uint64
 }
 
-// Shard is one served city: the master network plus its frozen read-path
-// artifacts and the clone pool for mutation-bearing attack computations.
+// Shard is one served city: the master network, whose memo holds the
+// frozen read-path artifacts, and the clone pool for mutation-bearing
+// attack computations.
 //
 // Concurrency contract: the master network is never mutated except
 // through SetRoad, which synchronizes against every reader here. All
@@ -74,14 +71,11 @@ type Shard struct {
 	// never takes the mutex; writes happen under mu.
 	gen atomic.Uint64
 
-	// mu orders SetRoad (write) against snapshot/potential (re)builds and
-	// clone creation (read): a clone or frozen artifact produced under
-	// RLock is always consistent with the generation read under the same
-	// RLock.
-	mu    sync.RWMutex
-	snaps map[roadnet.WeightType]*graph.Snapshot
-	pots  map[potKey]*graph.Potential
-	poi   map[graph.NodeID]bool // destinations worth caching potentials for
+	// mu orders SetRoad (write) against clone creation and the
+	// generation check of Potential (read): a clone cut under RLock is
+	// always consistent with the generation read under the same RLock.
+	mu  sync.RWMutex
+	poi map[graph.NodeID]bool // destinations served a preloaded potential; fixed at NewShard
 
 	clones  chan pooledClone
 	routers sync.Pool // *graph.Router over the master graph, for read-only queries
@@ -107,9 +101,10 @@ type ShardStats struct {
 	FreezeNS int64 `json:"freeze_ns"`
 }
 
-// NewShard builds a preloaded shard for net under ctx: it freezes one CSR
-// snapshot per weight type and computes one reverse potential per
-// (weight type, attached POI) — the artifacts every later request shares.
+// NewShard builds a preloaded shard for net under ctx: it has the network
+// freeze one CSR snapshot per weight type and memoize one reverse
+// potential per (weight type, attached POI) — the artifacts every later
+// request shares.
 // The name defaults to the network's own name. poolSize bounds the clone
 // pool (0 picks a small default). Preloading a metropolitan network runs
 // several full Dijkstra sweeps; ctx cancellation aborts it cleanly.
@@ -130,8 +125,6 @@ func NewShard(ctx context.Context, name string, net *roadnet.Network, poolSize i
 	s := &Shard{
 		name:   name,
 		net:    net,
-		snaps:  make(map[roadnet.WeightType]*graph.Snapshot),
-		pots:   make(map[potKey]*graph.Potential),
 		poi:    make(map[graph.NodeID]bool),
 		clones: make(chan pooledClone, poolSize),
 	}
@@ -143,37 +136,22 @@ func NewShard(ctx context.Context, name string, net *roadnet.Network, poolSize i
 	}
 	// Preload order is fixed (weight types in paper order, POIs in
 	// attachment order) so startup work is deterministic.
+	cancelled := func() error {
+		return fmt.Errorf("registry: preloading shard %s: %w", name, context.Cause(ctx))
+	}
 	for _, wt := range roadnet.WeightTypes() {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("registry: preloading shard %s: %w", name, context.Cause(ctx))
+		if ctx.Err() != nil {
+			return nil, cancelled()
 		}
-		snap := net.Snapshot(wt)
-		s.snaps[wt] = snap
+		net.Snapshot(wt)
 		for _, p := range net.POIs() {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("registry: preloading shard %s: %w", name, context.Cause(ctx))
+			// A cancelled sweep yields nil and memoizes nothing.
+			if p.Node != graph.InvalidNode && net.Potential(ctx, wt, p.Node) == nil {
+				return nil, cancelled()
 			}
-			if p.Node == graph.InvalidNode {
-				continue
-			}
-			pot := s.computePotential(ctx, snap, wt, p.Node)
-			if err := ctx.Err(); err != nil {
-				// A cancelled sweep leaves +Inf holes; never preload one.
-				return nil, fmt.Errorf("registry: preloading shard %s: %w", name, context.Cause(ctx))
-			}
-			s.pots[potKey{wt, p.Node}] = pot
 		}
 	}
 	return s, nil
-}
-
-// computePotential runs one reverse Dijkstra on the frozen snapshot.
-func (s *Shard) computePotential(ctx context.Context, snap *graph.Snapshot, wt roadnet.WeightType, dest graph.NodeID) *graph.Potential {
-	r := s.routers.Get().(*graph.Router)
-	defer s.putRouter(r)
-	r.SetContext(ctx)
-	r.UseSnapshot(snap)
-	return r.ReversePotential(dest, s.net.Weight(wt))
 }
 
 // putRouter detaches per-use state and returns the router to the pool.
@@ -196,63 +174,41 @@ func (s *Shard) Net() *roadnet.Network { return s.net }
 func (s *Shard) Generation() uint64 { return s.gen.Load() }
 
 // Snapshot returns the shared frozen CSR snapshot for wt at the current
-// generation, rebuilding lazily after a mutation dropped it. The snapshot
-// is safe for any number of concurrent readers.
+// generation: the network's (roadnet.Network.Snapshot), refrozen lazily
+// after a mutation dropped it. The snapshot is safe for any number of
+// concurrent readers.
 func (s *Shard) Snapshot(wt roadnet.WeightType) *graph.Snapshot {
-	s.mu.RLock()
-	snap := s.snaps[wt]
-	s.mu.RUnlock()
-	if snap != nil {
-		return snap
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if snap = s.snaps[wt]; snap != nil {
-		return snap
-	}
-	snap = s.net.Snapshot(wt)
-	s.snaps[wt] = snap
-	return snap
+	return s.net.Snapshot(wt)
 }
 
-// Potential returns the cached reverse potential for dest under wt, or
-// nil when dest is not a POI destination (ad-hoc destinations compute
-// their potential inside the attack, as before). After a mutation the
-// entry is recomputed lazily on first use.
+// Potential returns the reverse potential for dest under wt from the
+// network's memo (roadnet.Network.Potential), or nil when dest is not a
+// POI destination (ad-hoc destinations compute their potential inside the
+// attack, as before). After a mutation the entry is recomputed lazily on
+// first use. It also returns nil when ctx cuts the sweep short or a
+// SetRoad lands during the call: a table swept over the old weights may
+// overestimate under the new ones (no longer a valid A* bound), and the
+// caller's generation re-check retries at the new generation.
 func (s *Shard) Potential(ctx context.Context, wt roadnet.WeightType, dest graph.NodeID) *graph.Potential {
-	s.mu.RLock()
-	pot, ok := s.pots[potKey{wt, dest}]
-	isPOI := s.poi[dest]
-	gen := s.gen.Load()
-	s.mu.RUnlock()
-	if ok || !isPOI {
-		return pot
-	}
-	snap := s.Snapshot(wt)
-	pot = s.computePotential(ctx, snap, wt, dest)
-	if ctx.Err() != nil {
-		return nil // partial sweep: do not cache or serve a truncated table
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cached, ok := s.pots[potKey{wt, dest}]; ok {
-		return cached
-	}
-	if s.gen.Load() != gen {
-		// A mutation landed while we were sweeping: the table matches the
-		// old weights, which may overestimate under the new ones (no longer
-		// a valid A* bound). Drop it; the caller's generation re-check
-		// retries at the new generation.
+	if !s.poi[dest] {
 		return nil
 	}
-	s.pots[potKey{wt, dest}] = pot
+	gen := s.gen.Load()
+	pot := s.net.Potential(ctx, wt, dest)
+	// SetRoad changes the weights and the generation under mu: reading
+	// the generation under RLock sees both or neither.
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.gen.Load() != gen {
+		return nil
+	}
 	return pot
 }
 
 // SetRoad replaces the attributes of segment e on the master network and
-// advances the shard generation: frozen snapshots and potentials are
-// dropped (rebuilt lazily at the new generation) and pooled clones from
-// the old generation are flushed. Results computed against the old
+// advances the shard generation: the network drops its frozen snapshots
+// and potentials (rebuilt lazily at the new generation) and pooled clones
+// from the old generation are flushed. Results computed against the old
 // generation stay correct for their generation key; they just stop being
 // current.
 func (s *Shard) SetRoad(e graph.EdgeID, r roadnet.Road) error {
@@ -262,8 +218,6 @@ func (s *Shard) SetRoad(e graph.EdgeID, r roadnet.Road) error {
 		return err
 	}
 	s.gen.Add(1)
-	s.snaps = make(map[roadnet.WeightType]*graph.Snapshot)
-	s.pots = make(map[potKey]*graph.Potential)
 	for {
 		select {
 		case <-s.clones:
@@ -337,9 +291,8 @@ func (s *Shard) ReleaseRouter(r *graph.Router) { s.putRouter(r) }
 
 // Stats returns the shard's counters.
 func (s *Shard) Stats() ShardStats {
-	s.mu.RLock()
-	snaps, pots := len(s.snaps), len(s.pots)
-	st := ShardStats{
+	snaps, pots, freezeNS := s.net.MemoStats()
+	return ShardStats{
 		City:       s.name,
 		Generation: s.Generation(),
 		Snapshots:  snaps,
@@ -347,12 +300,8 @@ func (s *Shard) Stats() ShardStats {
 		PoolHits:   s.poolHits.Load(),
 		PoolMisses: s.poolMisses.Load(),
 		PoolStale:  s.poolStale.Load(),
+		FreezeNS:   freezeNS,
 	}
-	for _, snap := range s.snaps {
-		st.FreezeNS += snap.FreezeNanos()
-	}
-	s.mu.RUnlock()
-	return st
 }
 
 // Registry maps city names to shards. Build it at startup with Add;

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"altroute/internal/citygen"
@@ -85,6 +86,127 @@ func TestNewShardPreloadsArtifacts(t *testing.T) {
 			if pot.At(graph.NodeID(v)) != fresh.At(graph.NodeID(v)) {
 				t.Fatalf("Potential(%v) differs from fresh sweep at node %d: %v vs %v",
 					wt, v, pot.At(graph.NodeID(v)), fresh.At(graph.NodeID(v)))
+			}
+		}
+	}
+}
+
+// TestShardPotentialIsTheNetworksTable: the shard serves the network's
+// memoized table, so the master, the shard and a pooled clone read one
+// table per (weight type, hospital), not one each.
+func TestShardPotentialIsTheNetworksTable(t *testing.T) {
+	s := testShard(t, "shared", 4)
+	ctx := context.Background()
+	hospital := s.Net().POIs()[0].Node
+	clone, gen := s.AcquireClone()
+	defer s.ReleaseClone(clone, gen)
+	for _, wt := range roadnet.WeightTypes() {
+		pot := s.Potential(ctx, wt, hospital)
+		if pot == nil {
+			t.Fatalf("Potential(%v, hospital) = nil", wt)
+		}
+		if net := s.Net().Potential(ctx, wt, hospital); net != pot {
+			t.Errorf("%v: the shard and its network hold separate tables", wt)
+		}
+		if c := clone.Potential(ctx, wt, hospital); c != pot {
+			t.Errorf("%v: a pooled clone holds its own table", wt)
+		}
+		if s.Snapshot(wt) != s.Net().Snapshot(wt) {
+			t.Errorf("%v: the shard and its network hold separate snapshots", wt)
+		}
+	}
+	if st := s.Stats(); st.Potentials != len(roadnet.WeightTypes()) {
+		t.Errorf("after serving clones, %d potentials held, want %d", st.Potentials, len(roadnet.WeightTypes()))
+	}
+}
+
+// sweepHookCtx is a live context that runs hook the first time a sweep
+// polls it.
+type sweepHookCtx struct {
+	context.Context
+	once sync.Once
+	hook func()
+}
+
+func (c *sweepHookCtx) Err() error {
+	c.once.Do(c.hook)
+	return c.Context.Err()
+}
+
+// TestShardPotentialSetRoadDuringSweep: a table swept while a SetRoad
+// lands matches neither generation's weights for sure, so it is not
+// served; the next call sweeps the new weights.
+func TestShardPotentialSetRoadDuringSweep(t *testing.T) {
+	s := testShard(t, "racing", 4)
+	hospital := s.Net().POIs()[0].Node
+	road := s.Net().Road(0)
+	road.LengthM *= 3
+	if err := s.SetRoad(0, road); err != nil { // drop the preloaded table
+		t.Fatalf("SetRoad: %v", err)
+	}
+	road.LengthM *= 3
+	ctx := &sweepHookCtx{Context: context.Background(), hook: func() {
+		if err := s.SetRoad(0, road); err != nil {
+			t.Errorf("SetRoad during the sweep: %v", err)
+		}
+	}}
+	if pot := s.Potential(ctx, roadnet.WeightLength, hospital); pot != nil {
+		t.Fatal("Potential served a table swept across a SetRoad")
+	}
+	pot := s.Potential(context.Background(), roadnet.WeightLength, hospital)
+	fresh := graph.NewRouter(s.Net().Graph()).ReversePotential(hospital, s.Net().Weight(roadnet.WeightLength))
+	for v := 0; v < s.Net().NumIntersections(); v++ {
+		if pot.At(graph.NodeID(v)) != fresh.At(graph.NodeID(v)) {
+			t.Fatalf("potential after the racing SetRoad differs from a fresh sweep at node %d", v)
+		}
+	}
+}
+
+// TestShardConcurrentReadersAndSetRoad reads potentials, snapshots,
+// stats and clones from several goroutines while SetRoad re-weights the
+// master (run with -race), then holds the served table to a fresh sweep.
+func TestShardConcurrentReadersAndSetRoad(t *testing.T) {
+	s := testShard(t, "busy", 5)
+	ctx := context.Background()
+	hospital := s.Net().POIs()[0].Node
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, wt := range roadnet.WeightTypes() {
+					s.Potential(ctx, wt, hospital)
+					s.Snapshot(wt)
+				}
+				s.Stats()
+				c, gen := s.AcquireClone()
+				c.Potential(ctx, roadnet.WeightTime, hospital)
+				s.ReleaseClone(c, gen)
+			}
+		}()
+	}
+	road := s.Net().Road(0)
+	for i := 0; i < 20; i++ {
+		road.LengthM += 10
+		if err := s.SetRoad(0, road); err != nil {
+			t.Errorf("SetRoad: %v", err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for _, wt := range roadnet.WeightTypes() {
+		pot := s.Potential(ctx, wt, hospital)
+		fresh := graph.NewRouter(s.Net().Graph()).ReversePotential(hospital, s.Net().Weight(wt))
+		for v := 0; v < s.Net().NumIntersections(); v++ {
+			if pot.At(graph.NodeID(v)) != fresh.At(graph.NodeID(v)) {
+				t.Fatalf("%v: potential after concurrent SetRoads differs from a fresh sweep at node %d", wt, v)
 			}
 		}
 	}

@@ -90,12 +90,13 @@ func (n *Network) Querier(ctx context.Context, t WeightType) *overlay.Querier {
 }
 
 // Potential returns the reverse potential toward dest under weight type
-// t: graph.Router.ReversePotential on n's snapshot. While n's disabled
-// flags equal those its snapshot was frozen in, each destination's table
-// is computed once per frozen image and shared with every network
-// sharing the image; in any other state it is computed for this call
-// only. The table is read-only.
-func (n *Network) Potential(t WeightType, dest graph.NodeID) *graph.Potential {
+// t: graph.Router.ReversePotential on n's snapshot, under ctx. While n's
+// disabled flags equal those its snapshot was frozen in, each
+// destination's table is computed once per frozen image and shared with
+// every network sharing the image; in any other state it is computed for
+// this call only. A sweep cut short by ctx returns nil and memoizes
+// nothing. The table is read-only.
+func (n *Network) Potential(ctx context.Context, t WeightType, dest graph.NodeID) *graph.Potential {
 	f := n.frozenFor(t)
 	m := f.memo
 	shared := slices.Equal(f.snap.View().Disabled, m.disabled)
@@ -108,8 +109,12 @@ func (n *Network) Potential(t WeightType, dest graph.NodeID) *graph.Potential {
 		}
 	}
 	r := graph.NewRouter(n.g)
+	r.SetContext(ctx)
 	r.UseSnapshot(f.snap)
 	pot := r.ReversePotential(dest, n.Weight(t))
+	if ctx.Err() != nil {
+		return nil // unsettled nodes were left at +Inf: not an A* bound
+	}
 	if shared {
 		m.potMu.Lock()
 		if cached := m.pots[dest]; cached != nil {
@@ -120,4 +125,19 @@ func (n *Network) Potential(t WeightType, dest graph.NodeID) *graph.Potential {
 		m.potMu.Unlock()
 	}
 	return pot
+}
+
+// MemoStats counts what n's memo holds: its frozen images (at most one
+// per weight type), the reverse potentials memoized over them, and the
+// summed wall time the images took to freeze, in nanoseconds.
+func (n *Network) MemoStats() (snapshots, potentials int, freezeNS int64) {
+	n.snapMu.Lock()
+	defer n.snapMu.Unlock()
+	for _, f := range n.snaps {
+		f.memo.potMu.Lock()
+		potentials += len(f.memo.pots)
+		f.memo.potMu.Unlock()
+		freezeNS += f.snap.FreezeNanos()
+	}
+	return len(n.snaps), potentials, freezeNS
 }

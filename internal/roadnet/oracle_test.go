@@ -92,6 +92,7 @@ func TestPotentialMemo(t *testing.T) {
 	n, nodes := testNet(t)
 	c := n.Clone() // no snapshot yet: the clone freezes its own image
 	d := nodes[3]
+	ctx := context.Background()
 	fresh := func(net *Network) *graph.Potential {
 		r := graph.NewRouter(net.Graph())
 		return r.ReversePotential(d, net.Weight(WeightTime))
@@ -105,28 +106,28 @@ func TestPotentialMemo(t *testing.T) {
 		}
 	}
 
-	p := n.Potential(WeightTime, d)
+	p := n.Potential(ctx, WeightTime, d)
 	samePot("memoized", p, fresh(n))
-	if n.Potential(WeightTime, d) != p {
+	if n.Potential(ctx, WeightTime, d) != p {
 		t.Fatal("a second call recomputed the potential")
 	}
-	if c.Potential(WeightTime, d) == p {
+	if c.Potential(ctx, WeightTime, d) == p {
 		t.Fatal("a clone cut before the freeze shares its source's potentials")
 	}
 	shared := n.Clone()
-	if shared.Potential(WeightTime, d) != p {
+	if shared.Potential(ctx, WeightTime, d) != p {
 		t.Fatal("a clone cut after the freeze recomputed the potential")
 	}
 
 	e := shared.Graph().OutEdges(nodes[1])[0]
 	shared.Graph().DisableEdge(e)
-	cut := shared.Potential(WeightTime, d)
+	cut := shared.Potential(ctx, WeightTime, d)
 	if cut == p {
 		t.Fatal("a clone off the base state was served the shared potential")
 	}
 	samePot("cut", cut, fresh(shared))
 	shared.Graph().EnableEdge(e)
-	if shared.Potential(WeightTime, d) != p {
+	if shared.Potential(ctx, WeightTime, d) != p {
 		t.Fatal("a clone back at the base state was not served the shared potential")
 	}
 
@@ -135,11 +136,32 @@ func TestPotentialMemo(t *testing.T) {
 	if err := n.SetRoad(e, r); err != nil {
 		t.Fatal(err)
 	}
-	after := n.Potential(WeightTime, d)
+	after := n.Potential(ctx, WeightTime, d)
 	if after == p {
 		t.Fatal("SetRoad kept the memoized potential")
 	}
 	samePot("after SetRoad", after, fresh(n))
+}
+
+// TestPotentialDeadContext: a sweep under a dead context yields no
+// table and memoizes nothing, so the next caller sweeps afresh.
+func TestPotentialDeadContext(t *testing.T) {
+	n, nodes := testNet(t)
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if pot := n.Potential(dead, WeightTime, nodes[3]); pot != nil {
+		t.Fatal("a sweep under a dead context returned a table")
+	}
+	if _, pots, _ := n.MemoStats(); pots != 0 {
+		t.Fatalf("a dead sweep memoized %d potentials", pots)
+	}
+	p := n.Potential(context.Background(), WeightTime, nodes[3])
+	if p == nil || math.IsInf(p.At(nodes[0]), 1) {
+		t.Fatal("a live sweep after a dead one did not give a full table")
+	}
+	if snaps, pots, _ := n.MemoStats(); snaps != 1 || pots != 1 {
+		t.Fatalf("memo holds %d images and %d potentials, want 1 and 1", snaps, pots)
+	}
 }
 
 // TestClonesBuildMemoConcurrently cuts clones of one network and asks
@@ -160,7 +182,7 @@ func TestClonesBuildMemoConcurrently(t *testing.T) {
 			defer wg.Done()
 			q := c.Querier(context.Background(), WeightTime)
 			labels[i] = q.BuildTargetLabels(nodes[2])
-			pots[i] = c.Potential(WeightTime, nodes[2])
+			pots[i] = c.Potential(context.Background(), WeightTime, nodes[2])
 		}()
 	}
 	wg.Wait()

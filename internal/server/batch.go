@@ -147,7 +147,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusUnprocessableEntity, "sampling", err)
 		return
 	}
-	table, runErr := experiment.RunTableOnUnitsCtx(ctx, net, units2, *spec)
+	// One worker keeps the batch on one core and its units in job order.
+	table, runErr := experiment.RunTableOnUnitsParallelCtx(ctx, net, units2, *spec, 1)
 	if s.ledger != nil {
 		if aerr := s.ledger.Err(); aerr != nil {
 			// The ledger was poisoned mid-batch: some computed units went

@@ -169,6 +169,10 @@ func TestDrainKillAndResume(t *testing.T) {
 	if res.resp.Checkpoint != "drainbatch.jsonl" {
 		t.Fatalf("checkpoint name = %q", res.resp.Checkpoint)
 	}
+	// The partial table still lists every requested cell.
+	if cells, _ := normalizeTable(t, res.resp.Table)["cells"].([]any); len(cells) != 12 {
+		t.Fatalf("drained batch table has %d cells, want 12 (4 algorithms x 3 cost types)", len(cells))
+	}
 	if err := victim.Drain(5 * time.Second); err != nil {
 		t.Fatalf("Drain after batch returned: %v", err)
 	}
