@@ -94,9 +94,9 @@ const (
 
 // Attack types (paper §III-A).
 type (
-	// Problem is a Force Path Cut instance. Its Overlay field has a type
-	// from an internal package, so callers outside this module leave it
-	// nil and the attacks run the CSR oracle.
+	// Problem is a Force Path Cut instance. Callers that attack one
+	// graph many times in sequence may set its Router (NewRouter on the
+	// problem's graph) so every run reuses one set of search scratch.
 	Problem = core.Problem
 	// Result is a computed attack plan.
 	Result = core.Result

@@ -303,7 +303,6 @@ func writeFigures(r *runner, dir string) error {
 		if err != nil {
 			return err
 		}
-		w := net.Weight(f.weight)
 		hospital := net.POIsOfKind(citygen.KindHospital)[0]
 
 		// Random source with the required rank, like the paper's examples.
@@ -315,11 +314,7 @@ func writeFigures(r *runner, dir string) error {
 			if src == hospital.Node {
 				continue
 			}
-			wt := roadnet.WeightLength
-			if f.weight == roadnet.WeightTime {
-				wt = roadnet.WeightTime
-			}
-			if p, err := altroute.NewProblem(net, src, hospital.Node, r.rank, wt, f.cost, 0); err == nil {
+			if p, err := altroute.NewProblem(net, src, hospital.Node, r.rank, f.weight, f.cost, 0); err == nil {
 				problem, found = p, true
 			}
 		}
@@ -340,7 +335,6 @@ func writeFigures(r *runner, dir string) error {
 		if err != nil {
 			return err
 		}
-		_ = w
 		fmt.Println("wrote", path)
 	}
 	return nil

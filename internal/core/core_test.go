@@ -95,10 +95,8 @@ func assertAttackValid(t *testing.T, p Problem, res Result) {
 	if !sp.SameEdges(p.PStar) {
 		t.Fatalf("shortest path after attack is %v, want p* %v", sp, p.PStar)
 	}
-	if alt, ok := r.BestAlternative(p.Source, p.Dest, p.Weight, p.PStar); ok {
-		if alt.Length <= p.PStar.Length {
-			t.Fatalf("p* is not exclusive: alternative %v vs p* length %v", alt, p.PStar.Length)
-		}
+	if alt, ok := r.Violating(p.Source, p.Dest, p.Weight, p.PStar, p.PStar.Length, nil); ok {
+		t.Fatalf("p* is not exclusive: alternative %v vs p* length %v", alt, p.PStar.Length)
 	}
 }
 
@@ -484,7 +482,7 @@ func TestAttackPropertyRandomGraphs(t *testing.T) {
 			sp, ok := r.ShortestPath(s, d, w.wf())
 			exclusive := ok && sp.SameEdges(pstar)
 			if exclusive {
-				if alt, ok2 := r.BestAlternative(s, d, w.wf(), pstar); ok2 && alt.Length <= pstar.Length {
+				if _, ok2 := r.Violating(s, d, w.wf(), pstar, pstar.Length, nil); ok2 {
 					exclusive = false
 				}
 			}

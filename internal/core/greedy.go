@@ -70,21 +70,12 @@ func naiveCutLoop(ctx context.Context, p Problem, opts Options, pick func(graph.
 	r := p.router(ctx)
 	pstarSet := p.PStar.EdgeSet()
 	budget := p.budgetOrInf()
-	// Built before the first cut: cuts only disable edges, so the bounds
-	// the oracle caches here (a reverse potential for the baseline, the
-	// overlay target labels when the problem carries a querier) stay
-	// admissible for every later round.
-	orc := p.newOracle(ctx, r)
+	// Taken before the first cut: cuts only disable edges, so the
+	// potential stays a lower bound for every later round.
+	pot := p.potential(r)
 
 	tx := p.G.Begin()
-	defer func() {
-		// Rollback re-enables this run's cuts; the metric's affected cells
-		// must be marked for repair or a later clique read would serve
-		// stale (too-large) entries for the restored state.
-		undone := tx.Disabled()
-		tx.Rollback()
-		orc.uncut(undone)
-	}()
+	defer tx.Rollback()
 
 	var res Result
 	total := 0.0
@@ -93,7 +84,7 @@ func naiveCutLoop(ctx context.Context, p Problem, opts Options, pick func(graph.
 		if round >= opts.MaxRounds {
 			return Result{}, fmt.Errorf("%w: no solution within %d cuts", ErrInfeasible, opts.MaxRounds)
 		}
-		viol, violated := orc.violating()
+		viol, violated := p.violating(r, pot)
 		// The context check must precede the success test: a cancelled
 		// oracle can report "no violation" spuriously.
 		if ctx.Err() != nil {

@@ -63,12 +63,10 @@ func pathCoverLoop(ctx context.Context, p Problem, opts Options, solve coverSolv
 	r := p.router(ctx)
 	pstarSet := p.PStar.EdgeSet()
 	budget := p.budgetOrInf()
-	// Built on the unmodified graph, before the first constraint round:
-	// rounds only disable edges, so the bounds the oracle caches here (a
-	// reverse potential for the baseline, the overlay target labels when
-	// the problem carries a querier) stay admissible for every round,
-	// which each rollback restores to this same base state.
-	orc := p.newOracle(ctx, r)
+	// Taken on the unmodified graph, before the first constraint round:
+	// rounds only disable edges, so the potential stays a lower bound for
+	// every round, which each rollback restores to this same base state.
+	pot := p.potential(r)
 
 	var pool []graph.Path
 	var cut []graph.EdgeID
@@ -79,10 +77,8 @@ func pathCoverLoop(ctx context.Context, p Problem, opts Options, solve coverSolv
 		for _, e := range cut {
 			tx.Disable(e)
 		}
-		orc.cut(cut...)
-		viol, violated := orc.violating()
+		viol, violated := p.violating(r, pot)
 		tx.Rollback()
-		orc.uncut(cut)
 		// A cancelled oracle can report "no violation" spuriously (its spur
 		// round was cut short), so the context check must come before the
 		// success test.

@@ -34,7 +34,6 @@ import (
 	"math"
 
 	"altroute/internal/graph"
-	"altroute/internal/overlay"
 	"altroute/internal/roadnet"
 )
 
@@ -102,28 +101,25 @@ type Problem struct {
 	// supplied, its table is bit-identical to what that Dijkstra would
 	// produce, so results are unchanged.
 	Potential *graph.Potential
-	// Overlay optionally carries a caller-owned Querier over a CRP
-	// partition-overlay metric bound to a snapshot of G under Weight
-	// (roadnet.Network.Querier, which binds a new metric over the
-	// network's memoized partition and base cliques). When set
-	// and still valid, the oracle loops run their exclusivity checks
-	// through corridor-pruned overlay searches instead of unbounded A*
-	// spur searches, and report each cut to the metric so its cliques are
-	// repaired (per affected cell, coalesced) before the next clique read.
-	// The run attaches its context to the Querier, so one Querier serves
-	// any number of sequential runs but never two at once. Verdicts are
-	// identical to the CSR oracle's; witness lengths and edges match
-	// except on exact float-length ties (see
-	// overlay.Querier.Violating). Without a Querier, or with one over a
-	// foreign or stale snapshot, the loops use the CSR oracle.
-	Overlay *overlay.Querier
+	// Router optionally carries caller-owned search scratch on G
+	// (graph.NewRouter(G)), so sequential runs reuse one set of per-node
+	// arrays instead of allocating their own: the table runner gives each
+	// worker one. A run attaches its context and snapshot to it, so one
+	// Router serves any number of sequential runs but never two at once.
+	// Nil, or a Router on another graph, means a new Router per run.
+	// Results are the same either way.
+	Router *graph.Router
 }
 
 // router returns a context-attached Router running on the problem's frozen
-// snapshot for the oracle loops. The thousands of shortest-path queries an
-// attack issues amortize the one O(V+E) freeze many times over.
+// snapshot for the oracle loops: the caller's Router when it searches G,
+// else a new one. The thousands of shortest-path queries an attack issues
+// amortize the one O(V+E) freeze many times over.
 func (p *Problem) router(ctx context.Context) *graph.Router {
-	r := graph.NewRouter(p.G)
+	r := p.Router
+	if r == nil || r.Graph() != p.G {
+		r = graph.NewRouter(p.G)
+	}
 	r.SetContext(ctx)
 	snap := p.Snapshot
 	if snap == nil || snap.Graph() != p.G {
@@ -196,19 +192,12 @@ func (p *Problem) validate() error {
 // path), under the graph's current disabled-edge state.
 //
 // pot is an optional cached reverse potential for p.Dest under p.Weight
-// (nil: computed per call). The attack loops compute it once on the
+// (nil: computed per call). The attack loops take it once on the
 // unmodified graph and reuse it across every oracle round: candidate cuts
-// only disable edges, which keeps the potential admissible (see
-// graph.BestAlternativeWithPotential).
+// only disable edges, which keeps it a lower bound (see
+// graph.Router.Violating).
 func (p *Problem) violating(r *graph.Router, pot *graph.Potential) (graph.Path, bool) {
-	alt, ok := r.BestAlternativeWithPotential(p.Source, p.Dest, p.Weight, p.PStar, pot)
-	if !ok {
-		return graph.Path{}, false
-	}
-	if alt.Length <= p.PStar.Length+p.tieEps() {
-		return alt, true
-	}
-	return graph.Path{}, false
+	return r.Violating(p.Source, p.Dest, p.Weight, p.PStar, p.PStar.Length+p.tieEps(), pot)
 }
 
 // IsExclusiveShortest reports whether p* is currently the strictly shortest

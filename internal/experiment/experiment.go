@@ -25,7 +25,6 @@ import (
 	"altroute/internal/faultinject"
 	"altroute/internal/graph"
 	"altroute/internal/metrics"
-	"altroute/internal/overlay"
 	"altroute/internal/roadnet"
 )
 
@@ -329,7 +328,7 @@ func (t *Table) Cell(alg core.Algorithm, ct roadnet.CostType) *Cell {
 // found in spec.Checkpoint are replayed instead of recomputed; freshly
 // computed units are journaled. A dead ctx stops the loop: the partial cell
 // is returned with ErrInterrupted wrapping the context's cause.
-func runCell(ctx context.Context, g *graph.Graph, snap *graph.Snapshot, q *overlay.Querier, w, cost graph.WeightFunc, city string, alg core.Algorithm, ct roadnet.CostType, units []Unit, spec Spec) (Cell, error) {
+func runCell(ctx context.Context, wk *worker, city string, alg core.Algorithm, ct roadnet.CostType, units []Unit, spec Spec) (Cell, error) {
 	cell := Cell{Algorithm: alg, CostType: ct}
 	wt := spec.WeightType.String()
 	interrupted := func() (Cell, error) {
@@ -345,15 +344,16 @@ func runCell(ctx context.Context, g *graph.Graph, snap *graph.Snapshot, q *overl
 			return interrupted()
 		}
 		p := core.Problem{
-			G:        g,
-			Source:   u.Source,
-			Dest:     u.Dest,
-			PStar:    u.PStar,
-			Weight:   w,
-			Cost:     cost,
-			Budget:   spec.Budget,
-			Snapshot: snap,
-			Overlay:  q,
+			G:         wk.net.Graph(),
+			Source:    u.Source,
+			Dest:      u.Dest,
+			PStar:     u.PStar,
+			Weight:    wk.weight,
+			Cost:      wk.costs[ct],
+			Budget:    spec.Budget,
+			Snapshot:  wk.snap,
+			Potential: wk.potential(ctx, u.Dest),
+			Router:    wk.router,
 		}
 		opts := spec.Options
 		opts.Seed = spec.Seed

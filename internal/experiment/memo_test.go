@@ -1,9 +1,9 @@
 package experiment
 
-// Table runs share one oracle memo per network and weight type: the
-// partition overlay, base cliques, target labels and reverse potentials
-// are built by the first run and reused by every later run and worker
-// clone. These tests hold the reuse to the results of fresh builds.
+// Table runs share one potential memo per network and weight type: the
+// hospitals' reverse potentials are computed by the first run and reused
+// by every later run and worker clone. These tests hold the reuse to the
+// results of fresh computations.
 
 import (
 	"context"
@@ -14,19 +14,19 @@ import (
 	"testing"
 
 	"altroute/internal/citygen"
-	"altroute/internal/overlay"
+	"altroute/internal/graph"
 	"altroute/internal/roadnet"
 )
 
 // TestRepeatedParallelTablesMatchSerialAndCSR runs three successive
 // tables on one network at GOMAXPROCS 2 and 4, each on all cores: every
 // one must equal the first table, run on one worker (serial) while the
-// network's memo was still empty, and match the CSR reference attack for
-// attack.
+// network's memo was still empty, and match the per-unit reference attack
+// for attack.
 func TestRepeatedParallelTablesMatchSerialAndCSR(t *testing.T) {
 	net, units, spec := oracleFixture(t)
-	ref := csrReference(t, net, units, spec)
-	serial := zeroRuntimes(matchCSRRecords(t, "serial", spec, ref, func(s Spec) (Table, error) {
+	ref := perUnitReference(t, net, units, spec)
+	serial := zeroRuntimes(matchRecords(t, "serial", spec, ref, func(s Spec) (Table, error) {
 		return RunTableOnUnitsParallelCtx(context.Background(), net, units, s, 1)
 	}))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -34,7 +34,7 @@ func TestRepeatedParallelTablesMatchSerialAndCSR(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		for call := 1; call <= 3; call++ {
 			name := fmt.Sprintf("GOMAXPROCS %d, call %d", procs, call)
-			got := matchCSRRecords(t, name, spec, ref, func(s Spec) (Table, error) {
+			got := matchRecords(t, name, spec, ref, func(s Spec) (Table, error) {
 				return RunTableOnUnitsParallelCtx(context.Background(), net, units, s, 0)
 			})
 			if got = zeroRuntimes(got); !reflect.DeepEqual(got, serial) {
@@ -47,7 +47,7 @@ func TestRepeatedParallelTablesMatchSerialAndCSR(t *testing.T) {
 // TestTableAfterSetRoadMatchesFreshNetwork warms a network's memo, speeds
 // up every road on one unit's p* with SetRoad, and checks that sampling
 // and the runner on 1 and 2 workers then give what a freshly built network
-// with the same change gives. Faster roads make the old cliques, labels and potentials
+// with the same change gives. Faster roads make the old potentials
 // overestimates, so a memo that survived SetRoad would show.
 func TestTableAfterSetRoadMatchesFreshNetwork(t *testing.T) {
 	spec := smallSpec()
@@ -99,30 +99,24 @@ func TestTableAfterSetRoadMatchesFreshNetwork(t *testing.T) {
 }
 
 // TestClonesAttackConcurrentlySharingLabels attacks the whole grid on two
-// clones at once, each through its own Querier: every attack must match
-// the CSR reference, and both clones (and the network they were cut
-// from) must be served one set of base-state labels per hospital.
+// clones at once, each through its own Router and the memo's hospital
+// potentials: every attack must match the per-unit reference, and both
+// clones (and the network they were cut from) must be served one
+// potential per hospital.
 func TestClonesAttackConcurrentlySharingLabels(t *testing.T) {
 	net, units, spec := oracleFixture(t)
-	ref := csrReference(t, net, units, spec)
+	ref := perUnitReference(t, net, units, spec)
 	var (
-		clones   [2]*roadnet.Network
-		queriers [2]*overlay.Querier
-		got      [2]map[attackKey]attackOutcome
-		wg       sync.WaitGroup
+		clones [2]*roadnet.Network
+		got    [2]map[attackKey]attackOutcome
+		wg     sync.WaitGroup
 	)
 	for i := range clones {
 		clones[i] = net.Clone()
-		queriers[i] = clones[i].Querier(context.Background(), spec.WeightType)
-		if queriers[i] == nil {
-			t.Fatal("Querier returned nil on a live context")
-		}
-	}
-	for i := range clones {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = runAll(t, clones[i], clones[i].Snapshot(spec.WeightType), units, spec, queriers[i])
+			got[i] = runAll(t, clones[i], units, spec, graph.NewRouter(clones[i].Graph()))
 		}()
 	}
 	wg.Wait()
@@ -131,12 +125,12 @@ func TestClonesAttackConcurrentlySharingLabels(t *testing.T) {
 			sameOutcome(t, fmt.Sprintf("clone %d", i), k, want, got[i][k])
 		}
 	}
-	master := net.Querier(context.Background(), spec.WeightType)
+	ctx := context.Background()
 	for _, u := range units {
-		tl := master.BuildTargetLabels(u.Dest)
-		for i, q := range queriers {
-			if q.BuildTargetLabels(u.Dest) != tl {
-				t.Fatalf("clone %d holds its own labels for hospital %s", i, u.Hospital)
+		pot := net.Potential(ctx, spec.WeightType, u.Dest)
+		for i, c := range clones {
+			if c.Potential(ctx, spec.WeightType, u.Dest) != pot {
+				t.Fatalf("clone %d holds its own potential for hospital %s", i, u.Hospital)
 			}
 		}
 	}

@@ -17,8 +17,9 @@ import (
 // the network (the attack algorithms disable edges transactionally, which
 // must not race), so the table is bit-for-bit the same for every worker
 // count, cell order included. The clones share the network's frozen
-// snapshot arrays and oracle memo, so only the first run on a network
-// builds the partition overlay. workers <= 0 uses GOMAXPROCS.
+// snapshot arrays and potential memo, so no worker freezes the city or
+// sweeps a hospital's potential that another run already has. workers <= 0
+// uses GOMAXPROCS.
 //
 // A worker panic is recovered into that unit's failure (counted in
 // Cell.FailuresByKind under "panic"); the other workers and cells are
@@ -54,7 +55,7 @@ func RunTableOnUnitsParallelCtx(ctx context.Context, net *roadnet.Network, units
 	}
 
 	// Freeze on the master before cloning, so every clone shares its
-	// snapshot and oracle memo instead of freezing its own.
+	// snapshot and potential memo instead of freezing its own.
 	net.Snapshot(spec.WeightType)
 
 	results := make([]Cell, len(jobs))
@@ -66,21 +67,25 @@ func RunTableOnUnitsParallelCtx(ctx context.Context, net *roadnet.Network, units
 		go func() {
 			defer wg.Done()
 			local := net.Clone()
-			// Weight and cost functions, the snapshot and the Querier are
-			// derived once per worker, not per job or per unit: jobs repeat
-			// the same few cost types on the same cloned graph. Each worker
-			// owns its metric (bound to its clone's disabled flags), so
-			// customization never races across workers; the first worker
-			// to ask builds the shared memo, the others wait for it.
-			weight := local.Weight(spec.WeightType)
-			snap := local.Snapshot(spec.WeightType)
-			q := local.Querier(ctx, spec.WeightType)
-			costs := make(map[roadnet.CostType]graph.WeightFunc, len(spec.CostTypes))
+			// Weight and cost functions, the snapshot, the Router and the
+			// hospital potentials are derived once per worker, not per job
+			// or per unit: jobs repeat the same few cost types and hospitals
+			// on the same cloned graph, and every attack of the worker runs
+			// on the one Router's scratch.
+			w := worker{
+				net:    local,
+				wt:     spec.WeightType,
+				snap:   local.Snapshot(spec.WeightType),
+				router: graph.NewRouter(local.Graph()),
+				weight: local.Weight(spec.WeightType),
+				costs:  make(map[roadnet.CostType]graph.WeightFunc, len(spec.CostTypes)),
+				pots:   make(map[graph.NodeID]*graph.Potential),
+			}
 			for _, ct := range spec.CostTypes {
-				costs[ct] = local.Cost(ct)
+				w.costs[ct] = local.Cost(ct)
 			}
 			for job := range jobCh {
-				cell, err := runCell(ctx, local.Graph(), snap, q, weight, costs[job.ct], net.Name(), job.alg, job.ct, units, spec)
+				cell, err := runCell(ctx, &w, net.Name(), job.alg, job.ct, units, spec)
 				results[job.idx] = cell
 				cellErrs[job.idx] = err
 			}
@@ -105,4 +110,29 @@ func RunTableOnUnitsParallelCtx(ctx context.Context, net *roadnet.Network, units
 		}
 	}
 	return table, nil
+}
+
+// worker is one table worker's attack state on its own network clone.
+type worker struct {
+	net    *roadnet.Network
+	wt     roadnet.WeightType
+	snap   *graph.Snapshot
+	router *graph.Router
+	weight graph.WeightFunc
+	costs  map[roadnet.CostType]graph.WeightFunc
+	pots   map[graph.NodeID]*graph.Potential
+}
+
+// potential returns dest's reverse potential, looked up in the network's
+// memo on the worker's first attack toward dest. A lookup cut short by
+// ctx is not kept.
+func (w *worker) potential(ctx context.Context, dest graph.NodeID) *graph.Potential {
+	pot := w.pots[dest]
+	if pot == nil {
+		pot = w.net.Potential(ctx, w.wt, dest)
+		if pot != nil {
+			w.pots[dest] = pot
+		}
+	}
+	return pot
 }

@@ -3,13 +3,13 @@ package graph
 import "context"
 
 // SetContext attaches ctx to the router for cooperative cancellation of its
-// multi-round queries: KShortest and the BestAlternative family poll the
-// context between spur searches and stop early when it is done. A nil ctx
+// multi-round queries: KShortest and Violating poll the context between
+// spur searches and stop early when it is done. A nil ctx
 // (the default) disables the checks entirely.
 //
 // Cancellation is best-effort and output-truncating: an interrupted
 // KShortest returns the paths accepted so far and an interrupted
-// BestAlternative may report "no alternative" even though one exists.
+// Violating may report "no violation" even though one exists.
 // Callers that must distinguish a genuine negative from a cancelled query
 // (the attack loops in internal/core) re-check the context after the call
 // before trusting the result.

@@ -64,7 +64,7 @@ type Snapshot struct {
 	disabled []bool
 
 	// freezeNS is the wall-clock duration of the Freeze pass, surfaced in
-	// registry shard stats next to overlay build/customize timings.
+	// registry shard stats.
 	freezeNS int64
 }
 
@@ -140,36 +140,9 @@ func (c *Snapshot) NumEdges() int { return c.m }
 // Weight returns the materialized weight of edge e.
 func (c *Snapshot) Weight(e EdgeID) float64 { return c.w[e] }
 
-// CSRView exposes a snapshot's flat CSR arrays to sibling packages that
-// build derived read-only structures over them (internal/overlay). Every
-// slice aliases the snapshot's backing arrays: callers MUST treat them as
-// immutable. Disabled aliases the graph's live disabled flags, exactly as
-// the frozen kernels see them.
-type CSRView struct {
-	N, M    int
-	FwdOff  []int32
-	FwdTo   []int32
-	FwdEdge []int32
-	FwdW    []float64
-	RevOff  []int32
-	RevFrom []int32
-	RevEdge []int32
-	RevW    []float64
-	W       []float64
-
-	Disabled []bool
-}
-
-// View returns the read-only CSR view of the snapshot.
-func (c *Snapshot) View() CSRView {
-	return CSRView{
-		N: c.n, M: c.m,
-		FwdOff: c.fwdOff, FwdTo: c.fwdTo, FwdEdge: c.fwdEdge, FwdW: c.fwdW,
-		RevOff: c.revOff, RevFrom: c.revFrom, RevEdge: c.revEdge, RevW: c.revW,
-		W:        c.w,
-		Disabled: c.disabled,
-	}
-}
+// Disabled returns the disabled flags the frozen kernels read: the
+// graph's live flags, aliased. Callers must not write them.
+func (c *Snapshot) Disabled() []bool { return c.disabled }
 
 // Refresh returns c when it is still valid, or a fresh snapshot of the
 // same graph under the same weight function when topology moved on.
@@ -340,13 +313,26 @@ func (h *heap4) pop() heapItem {
 // shortest is the point-to-point Dijkstra from s to t on c, honouring
 // disabled edges and the router's current node/edge bans. No closure is
 // called anywhere in the loop. Callers must have called grow().
-func (r *Router) shortest(c *Snapshot, s, t NodeID) (Path, bool) {
+//
+// With a potential and a finite bound it is also the exclusivity oracle's
+// bounded search (Violating): an improving offer to v is always recorded,
+// but pushed only when rootLen + d(v) + pot(v) fits the bound with a 1e-9
+// relative slack. pot is a lower bound on the distance to t, so a node
+// left unpushed lies on no s->t path within the bound, and the search
+// returns the plain kernel's path whenever that path fits (DESIGN §14).
+// A nil potential or an infinite bound pushes every offer.
+func (r *Router) shortest(c *Snapshot, s, t NodeID, rootLen, bound float64, pot *Potential) (Path, bool) {
 	if !r.g.validNode(s) || !r.g.validNode(t) {
 		return Path{}, false
 	}
 	if r.nodeBanned(s) || r.nodeBanned(t) {
 		return Path{}, false
 	}
+	var h []float64
+	if pot != nil && !math.IsInf(bound, 1) {
+		h = pot.h
+	}
+	lim := bound + 1e-9*bound
 	r.cur++
 	r.heap = r.heap[:0]
 	r.setDist(s, 0, InvalidEdge)
@@ -381,7 +367,9 @@ func (r *Router) shortest(c *Snapshot, s, t NodeID) (Path, bool) {
 			nd := du + c.fwdW[i]
 			if r.stamp[v] != r.cur || nd < r.dist[v] {
 				r.setDist(v, nd, e)
-				r.heap.push(heapItem{dist: nd, node: v})
+				if h == nil || rootLen+nd+h[v] <= lim {
+					r.heap.push(heapItem{dist: nd, node: v})
+				}
 			}
 		}
 	}

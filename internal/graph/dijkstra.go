@@ -118,7 +118,7 @@ func (r *Router) ShortestPathAvoiding(s, t NodeID, w WeightFunc, avoid []NodeID)
 			r.banNode(n)
 		}
 	}
-	return r.shortest(r.csr(w), s, t)
+	return r.shortest(r.csr(w), s, t, 0, math.Inf(1), nil)
 }
 
 // ShortestDist returns the minimum path weight from s to t under w, or

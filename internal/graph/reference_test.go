@@ -300,6 +300,16 @@ func refBestAlternativeWithPotential(g *Graph, w WeightFunc, s, t NodeID, avoid 
 	return heap.Pop(&cands).(refDevCand).path, true
 }
 
+// refViolating is the exclusivity oracle's reference: the reference best
+// alternative, when its length is within bound.
+func refViolating(g *Graph, w WeightFunc, s, t NodeID, pstar Path, bound float64, pot *Potential) (Path, bool) {
+	alt, ok := refBestAlternativeWithPotential(g, w, s, t, pstar, pot)
+	if !ok || alt.Length > bound {
+		return Path{}, false
+	}
+	return alt, true
+}
+
 // spurRound is one serial Yen deviation round over base from spur index
 // start: every spur search runs, in spur-index order.
 func (rr *refRouter) spurRound(base Path, start int, accepted []Path, t NodeID, pot *Potential, seen map[string]bool, cands *refDevHeap) {

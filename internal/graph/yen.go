@@ -54,8 +54,8 @@ func (r *Router) KShortest(s, t NodeID, k int, w WeightFunc) []Path {
 // hospital destination and reuses it across every request). pot must come
 // from ReversePotential(t, w) on this graph in a state whose enabled-edge
 // set contained every currently enabled edge — the same contract as
-// BestAlternativeWithPotential. A nil or mismatched-target pot is
-// recomputed, making the call equivalent to KShortest.
+// Violating. A nil or mismatched-target pot is recomputed, making the call
+// equivalent to KShortest.
 func (r *Router) KShortestWithPotential(s, t NodeID, k int, w WeightFunc, pot *Potential) []Path {
 	if k <= 0 {
 		return nil
@@ -83,52 +83,6 @@ func (r *Router) KShortestWithPotential(s, t NodeID, k int, w WeightFunc, pot *P
 	}
 	r.clearBans()
 	return y.accepted
-}
-
-// BestAlternative returns the minimum-weight s->t path whose edge sequence
-// differs from avoid, or ok == false when no such path exists. When the
-// overall shortest path already differs from avoid it is returned directly;
-// otherwise a single Yen deviation round over avoid finds the best
-// second path.
-//
-// This is the attack algorithms' exclusivity oracle: p* is the exclusive
-// shortest path iff BestAlternative(s, t, w, p*) has Length > p*.Length.
-func (r *Router) BestAlternative(s, t NodeID, w WeightFunc, avoid Path) (Path, bool) {
-	return r.BestAlternativeWithPotential(s, t, w, avoid, nil)
-}
-
-// BestAlternativeWithPotential is BestAlternative with a caller-supplied
-// reverse potential, for callers that issue many oracle queries against the
-// same target. pot must come from ReversePotential(t, w) on this graph in a
-// state whose enabled-edge set contained every currently enabled edge —
-// edges may have been disabled since it was computed, but not enabled. The
-// attack loops exploit exactly this: they compute the potential once on the
-// unmodified graph and reuse it while candidate cuts are applied, because
-// cuts only disable edges. A nil or mismatched-target pot is recomputed.
-//
-// The deviation round over avoid is lazy like KShortest's: its spur
-// searches run in lower-bound order and stop once the next bound exceeds
-// the best candidate found, which is the round's minimum either way.
-func (r *Router) BestAlternativeWithPotential(s, t NodeID, w WeightFunc, avoid Path, pot *Potential) (Path, bool) {
-	r.grow()
-	r.clearBans()
-	c := r.csr(w)
-	if pot == nil || pot.Target() != t {
-		pot = r.reversePotential(c, t)
-	}
-	first, ok := r.shortestAStar(c, s, t, pot, false)
-	if !ok {
-		return Path{}, false
-	}
-	if !first.SameEdges(avoid) {
-		return first, true
-	}
-	best := newYenRun(r, c, t, pot, avoid).next()
-	r.clearBans()
-	if best == nil {
-		return Path{}, false
-	}
-	return best.path, true
 }
 
 // yenRun is the state of one lazy Yen enumeration: the accepted paths,
@@ -165,8 +119,7 @@ type yenCand struct {
 }
 
 // newYenRun starts an enumeration whose first accepted path is first
-// (deviation index 0): the shortest path for KShortest, the path to avoid
-// for BestAlternative.
+// (deviation index 0), the shortest path.
 func newYenRun(r *Router, c *Snapshot, t NodeID, pot *Potential, first Path) *yenRun {
 	cand := &yenCand{path: first}
 	y := &yenRun{r: r, c: c, t: t, pot: pot, seen: map[uint64][]*yenCand{hashEdges(first.Edges): {cand}}}

@@ -3,6 +3,7 @@ package graph
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -181,7 +182,10 @@ func TestKShortestMatchesReference(t *testing.T) {
 }
 
 // TestBestAlternativeMatchesReference runs the same differential check for
-// the exclusivity oracle, avoiding each of the first few shortest paths.
+// the exclusivity oracle, avoiding each of the first few shortest paths:
+// Violating under an infinite bound is the best alternative, and under
+// the attacks' bound (the avoided path's length plus a tie epsilon) it is
+// that same path when it fits and none otherwise.
 func TestBestAlternativeMatchesReference(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 80}
 	prop := func(seed int64) bool {
@@ -197,16 +201,17 @@ func TestBestAlternativeMatchesReference(t *testing.T) {
 		}
 		for _, avoid := range avoids {
 			wantPath, wantOK := refBestAlternative(g, s, tgt, w, avoid)
-			gotPath, gotOK := NewRouter(g).BestAlternative(s, tgt, w, avoid)
-			if gotOK != wantOK {
-				t.Logf("seed %d: ok=%v, want %v", seed, gotOK, wantOK)
+			r := NewRouter(g)
+			gotPath, gotOK := r.Violating(s, tgt, w, avoid, math.Inf(1), nil)
+			if !samePath(gotPath, wantPath, gotOK, wantOK) {
+				t.Logf("seed %d: alternative %v %v, want %v %v", seed, gotPath, gotOK, wantPath, wantOK)
 				return false
 			}
-			if !wantOK {
-				continue
-			}
-			if !gotPath.SameEdges(wantPath) || gotPath.Length != wantPath.Length {
-				t.Logf("seed %d: alternative %v, want %v", seed, gotPath, wantPath)
+			bound := avoid.Length + 1e-9*math.Max(1, avoid.Length)
+			wantOK = wantOK && wantPath.Length <= bound
+			gotPath, gotOK = r.Violating(s, tgt, w, avoid, bound, nil)
+			if !samePath(gotPath, wantPath, gotOK, wantOK) {
+				t.Logf("seed %d: bounded witness %v %v, want %v %v", seed, gotPath, gotOK, wantPath, wantOK)
 				return false
 			}
 		}
@@ -250,7 +255,7 @@ func TestKShortestTiedWeightsLengths(t *testing.T) {
 
 // TestKShortestCachedPotentialAfterDisables checks the admissibility
 // argument the oracle caching relies on: a potential computed on the intact
-// graph keeps BestAlternativeWithPotential exact after edges are disabled.
+// graph keeps Violating exact after edges are disabled.
 func TestKShortestCachedPotentialAfterDisables(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -273,7 +278,7 @@ func TestKShortestCachedPotentialAfterDisables(t *testing.T) {
 			}
 		}
 		wantPath, wantOK := refBestAlternative(g, s, tgt, w, avoid)
-		gotPath, gotOK := r.BestAlternativeWithPotential(s, tgt, w, avoid, pot)
+		gotPath, gotOK := r.Violating(s, tgt, w, avoid, math.Inf(1), pot)
 		tx.Rollback()
 
 		if gotOK != wantOK {

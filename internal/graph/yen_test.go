@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -112,7 +113,7 @@ func TestBestAlternativeReturnsSecondPath(t *testing.T) {
 	r := NewRouter(g)
 
 	best, _ := r.ShortestPath(0, 3, w)
-	alt, ok := r.BestAlternative(0, 3, w, best)
+	alt, ok := r.Violating(0, 3, w, best, math.Inf(1), nil)
 	if !ok {
 		t.Fatal("no alternative found")
 	}
@@ -124,9 +125,14 @@ func TestBestAlternativeReturnsSecondPath(t *testing.T) {
 	}
 
 	// Avoiding a non-shortest path returns the shortest path.
-	got, ok := r.BestAlternative(0, 3, w, alt)
+	got, ok := r.Violating(0, 3, w, alt, math.Inf(1), nil)
 	if !ok || !got.SameEdges(best) {
-		t.Errorf("BestAlternative(avoid=second) = %v, ok=%v, want shortest", got, ok)
+		t.Errorf("Violating(avoid=second) = %v, ok=%v, want shortest", got, ok)
+	}
+
+	// Under a bound below the second path's length, p* = best is exclusive.
+	if got, ok := r.Violating(0, 3, w, best, 3.5, nil); ok {
+		t.Errorf("Violating(bound 3.5) = %v, want none", got)
 	}
 }
 
@@ -136,7 +142,7 @@ func TestBestAlternativeNoneExists(t *testing.T) {
 	w := func(EdgeID) float64 { return 1 }
 	r := NewRouter(g)
 	only, _ := r.ShortestPath(0, 1, w)
-	if _, ok := r.BestAlternative(0, 1, w, only); ok {
+	if _, ok := r.Violating(0, 1, w, only, math.Inf(1), nil); ok {
 		t.Error("found alternative in a single-path graph")
 	}
 }

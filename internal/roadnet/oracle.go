@@ -2,91 +2,37 @@ package roadnet
 
 import (
 	"context"
-	"slices"
 	"sync"
 
 	"altroute/internal/graph"
-	"altroute/internal/overlay"
 )
 
-// partitionSeed seeds the overlay's recursive bisection. The partition
-// only decides how much of the city a corridor search may skip: the
-// search settles the same bits whatever it prunes, so oracle results are
-// the same under every partition. The seed is therefore fixed instead of
-// taken from a run's inputs, and every run on one frozen image can share
-// one partition.
-const partitionSeed = 1
-
 // frozen is one weight type's frozen CSR image of a network and the
-// oracle memo over it.
+// potential memo over it.
 type frozen struct {
 	snap *graph.Snapshot
-	memo *oracleMemo
+	memo *potMemo
 }
 
-// oracleMemo is the oracle state every table run and worker clone on one
-// frozen image shares: the partition overlay with its base-state cliques
-// and target labels (overlay.Base), and a reverse potential per
-// destination sampled toward (the hospitals). It lives as long as the
-// image: SetRoad and topology changes drop both together, and a clone
-// cut while the image is current shares both (Network.Clone).
-type oracleMemo struct {
-	// mu is held across the overlay build, so concurrent first callers
-	// wait for one build instead of each running their own.
-	mu   sync.Mutex
-	base *overlay.Base
-
+// potMemo holds one reverse potential per destination sampled toward (the
+// hospitals), shared by every table run, worker clone and pooled clone on
+// one frozen image. It lives as long as the image: SetRoad and topology
+// changes drop both together, and a clone cut while the image is current
+// shares both (Network.Clone).
+type potMemo struct {
 	// disabled is the disabled state the image was frozen in. Potentials
 	// are memoized only for callers whose flags equal it, so every memo
 	// entry holds the bits a fresh reverse Dijkstra would give them.
 	disabled []bool
-	potMu    sync.Mutex
+	mu       sync.Mutex
 	pots     map[graph.NodeID]*graph.Potential
 }
 
 func newFrozen(snap *graph.Snapshot) *frozen {
-	return &frozen{snap: snap, memo: &oracleMemo{
-		disabled: append([]bool(nil), snap.View().Disabled...),
+	return &frozen{snap: snap, memo: &potMemo{
+		disabled: append([]bool(nil), snap.Disabled()...),
 		pots:     make(map[graph.NodeID]*graph.Potential),
 	}}
-}
-
-// overlayBase returns the memo's overlay base, building it over snap
-// under ctx on first use. A build cut short by ctx returns its error and
-// leaves nothing behind, so the next caller builds afresh.
-func (m *oracleMemo) overlayBase(ctx context.Context, snap *graph.Snapshot) (*overlay.Base, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.base != nil {
-		return m.base, nil
-	}
-	ov, err := overlay.Build(ctx, snap, partitionSeed)
-	if err != nil {
-		return nil, err
-	}
-	b, err := overlay.NewBase(ctx, ov, snap)
-	if err != nil {
-		return nil, err
-	}
-	m.base = b
-	return b, nil
-}
-
-// Querier returns a new overlay Querier for attacks on n under weight
-// type t: a metric bound to n's snapshot over the partition and base
-// cliques memoized with that snapshot. The first call on a frozen image,
-// on n or on any network sharing it through Clone, builds the memo under
-// ctx; later calls only bind a metric, which copies nothing until its
-// first clique repair. Returns nil when ctx dies during that build
-// (nothing is memoized then); attacks given no Querier run the CSR
-// oracle.
-func (n *Network) Querier(ctx context.Context, t WeightType) *overlay.Querier {
-	f := n.frozenFor(t)
-	b, err := f.memo.overlayBase(ctx, f.snap)
-	if err != nil {
-		return nil
-	}
-	return overlay.NewQuerier(b.Metric(f.snap))
 }
 
 // Potential returns the reverse potential toward dest under weight type
@@ -99,11 +45,11 @@ func (n *Network) Querier(ctx context.Context, t WeightType) *overlay.Querier {
 func (n *Network) Potential(ctx context.Context, t WeightType, dest graph.NodeID) *graph.Potential {
 	f := n.frozenFor(t)
 	m := f.memo
-	shared := slices.Equal(f.snap.View().Disabled, m.disabled)
+	shared := sameFlags(f.snap.Disabled(), m.disabled)
 	if shared {
-		m.potMu.Lock()
+		m.mu.Lock()
 		pot := m.pots[dest]
-		m.potMu.Unlock()
+		m.mu.Unlock()
 		if pot != nil {
 			return pot
 		}
@@ -116,15 +62,39 @@ func (n *Network) Potential(ctx context.Context, t WeightType, dest graph.NodeID
 		return nil // unsettled nodes were left at +Inf: not an A* bound
 	}
 	if shared {
-		m.potMu.Lock()
+		m.mu.Lock()
 		if cached := m.pots[dest]; cached != nil {
 			pot = cached
 		} else {
 			m.pots[dest] = pot
 		}
-		m.potMu.Unlock()
+		m.mu.Unlock()
 	}
 	return pot
+}
+
+// sameFlags reports whether two flag slices are equal. A cold attack
+// request makes this check over every edge of the city twice (for its
+// path set and for its attack); comparing fixed-size array chunks
+// compiles to a memory compare, which on full-size Chicago (78k edges)
+// takes about 2 µs where an element loop took about 100 µs.
+func sameFlags(a, b []bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	const chunk = 1024
+	i := 0
+	for ; i+chunk <= len(a); i += chunk {
+		if *(*[chunk]bool)(a[i : i+chunk]) != *(*[chunk]bool)(b[i : i+chunk]) {
+			return false
+		}
+	}
+	for ; i < len(a); i++ {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // MemoStats counts what n's memo holds: its frozen images (at most one
@@ -134,9 +104,9 @@ func (n *Network) MemoStats() (snapshots, potentials int, freezeNS int64) {
 	n.snapMu.Lock()
 	defer n.snapMu.Unlock()
 	for _, f := range n.snaps {
-		f.memo.potMu.Lock()
+		f.memo.mu.Lock()
 		potentials += len(f.memo.pots)
-		f.memo.potMu.Unlock()
+		f.memo.mu.Unlock()
 		freezeNS += f.snap.FreezeNanos()
 	}
 	return len(n.snaps), potentials, freezeNS

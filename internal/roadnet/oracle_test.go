@@ -3,6 +3,8 @@ package roadnet
 import (
 	"context"
 	"math"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -11,13 +13,18 @@ import (
 
 // sameArrays reports whether two snapshots read the same CSR arrays.
 func sameArrays(a, b *graph.Snapshot) bool {
-	va, vb := a.View(), b.View()
-	return &va.FwdW[0] == &vb.FwdW[0] && &va.RevOff[0] == &vb.RevOff[0] && &va.W[0] == &vb.W[0]
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for _, f := range []string{"fwdW", "revOff", "w"} {
+		if va.FieldByName(f).Pointer() != vb.FieldByName(f).Pointer() {
+			return false
+		}
+	}
+	return true
 }
 
 // TestCloneSharesFrozenImage: a clone reads its source's CSR arrays
 // through a snapshot bound to its own graph and disabled flags, and
-// shares the oracle memo, until either side's SetRoad drops its own.
+// shares the potential memo, until either side's SetRoad drops its own.
 func TestCloneSharesFrozenImage(t *testing.T) {
 	n, _ := testNet(t)
 	snap := n.Snapshot(WeightTime)
@@ -30,11 +37,11 @@ func TestCloneSharesFrozenImage(t *testing.T) {
 		t.Fatal("clone froze its own arrays instead of sharing its source's")
 	}
 	if n.snaps[WeightTime].memo != c.snaps[WeightTime].memo {
-		t.Fatal("clone does not share its source's oracle memo")
+		t.Fatal("clone does not share its source's potential memo")
 	}
 
 	c.Graph().DisableEdge(0)
-	if !cs.View().Disabled[0] || snap.View().Disabled[0] {
+	if !cs.Disabled()[0] || snap.Disabled()[0] {
 		t.Fatal("a cut on the clone is not confined to the clone's snapshot")
 	}
 	c.Graph().EnableEdge(0)
@@ -55,33 +62,6 @@ func TestCloneSharesFrozenImage(t *testing.T) {
 	}
 	if c.Snapshot(WeightTime) != cs || c.snaps[WeightTime].memo != memo {
 		t.Fatal("SetRoad on the source dropped the clone's frozen image")
-	}
-}
-
-// TestQuerierMemo: the first Querier call builds the overlay under its
-// context and memoizes it only when the build completes; networks
-// sharing a frozen image then share one label cache.
-func TestQuerierMemo(t *testing.T) {
-	n, nodes := testNet(t)
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
-	if q := n.Querier(dead, WeightTime); q != nil {
-		t.Fatal("Querier built on a dead context")
-	}
-	if n.snaps[WeightTime].memo.base != nil {
-		t.Fatal("a dead-context build was memoized")
-	}
-	c := n.Clone()
-	qn := n.Querier(context.Background(), WeightTime)
-	qc := c.Querier(context.Background(), WeightTime)
-	if qn == nil || qc == nil {
-		t.Fatal("Querier returned nil on a live context")
-	}
-	if qn.Metric().Snapshot() != n.Snapshot(WeightTime) || qc.Metric().Snapshot() != c.Snapshot(WeightTime) {
-		t.Fatal("a Querier's metric is not bound to its own network's snapshot")
-	}
-	if qn.BuildTargetLabels(nodes[3]) != qc.BuildTargetLabels(nodes[3]) {
-		t.Fatal("a network and its clone built separate base-state labels")
 	}
 }
 
@@ -165,14 +145,12 @@ func TestPotentialDeadContext(t *testing.T) {
 }
 
 // TestClonesBuildMemoConcurrently cuts clones of one network and asks
-// each, concurrently, for a Querier, labels and a potential: under -race
-// this covers the memo's locking, and every clone must end up with the
-// same labels and potential.
+// each, concurrently, for a potential: under -race this covers the memo's
+// locking, and every clone must end up with the same potential.
 func TestClonesBuildMemoConcurrently(t *testing.T) {
 	n, nodes := testNet(t)
 	n.Snapshot(WeightTime)
 	const clones = 4
-	labels := make([]any, clones)
 	pots := make([]*graph.Potential, clones)
 	var wg sync.WaitGroup
 	for i := 0; i < clones; i++ {
@@ -180,15 +158,40 @@ func TestClonesBuildMemoConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			q := c.Querier(context.Background(), WeightTime)
-			labels[i] = q.BuildTargetLabels(nodes[2])
 			pots[i] = c.Potential(context.Background(), WeightTime, nodes[2])
 		}()
 	}
 	wg.Wait()
 	for i := 1; i < clones; i++ {
-		if labels[i] != labels[0] || pots[i] != pots[0] {
-			t.Fatalf("clone %d got its own labels or potential", i)
+		if pots[i] != pots[0] {
+			t.Fatalf("clone %d got its own potential", i)
+		}
+	}
+}
+
+// TestSameFlags checks the chunked flag comparison against an element
+// loop, with one flag flipped at every position of slices around the
+// chunk size.
+func TestSameFlags(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 1023, 1024, 1025, 2048, 3001} {
+		a := make([]bool, n)
+		for i := range a {
+			a[i] = rng.Intn(7) == 0
+		}
+		b := append([]bool(nil), a...)
+		if !sameFlags(a, b) {
+			t.Fatalf("n=%d: equal slices reported different", n)
+		}
+		for i := 0; i < n; i++ {
+			b[i] = !b[i]
+			if sameFlags(a, b) {
+				t.Fatalf("n=%d: flag %d flipped, reported equal", n, i)
+			}
+			b[i] = !b[i]
+		}
+		if n > 0 && sameFlags(a, b[:n-1]) {
+			t.Fatalf("n=%d: slices of different lengths reported equal", n)
 		}
 	}
 }

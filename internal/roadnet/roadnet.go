@@ -195,7 +195,7 @@ type Network struct {
 	// graph.Snapshot.Valid covers topology, wgen covers weights.
 	wgen uint64
 	// snaps caches one frozen CSR snapshot per weight type (see Snapshot),
-	// each with its oracle memo (see Querier). Dropped on SetRoad — the one
+	// each with its potential memo (see Potential). Dropped on SetRoad — the one
 	// mutation that changes weights without moving the graph's generation
 	// counter; an entry whose snapshot a topology change invalidated is
 	// replaced on its next use.
@@ -323,7 +323,7 @@ func (n *Network) SetRoad(e graph.EdgeID, r Road) error {
 	n.snapMu.Lock()
 	n.roads[e] = r
 	n.wgen++
-	n.snaps = nil // materialized snapshot weights and the oracle memos are now stale
+	n.snaps = nil // materialized snapshot weights and the potential memos are now stale
 	n.snapMu.Unlock()
 	return nil
 }
@@ -359,7 +359,7 @@ func (n *Network) Snapshot(t WeightType) *graph.Snapshot {
 	return n.frozenFor(t).snap
 }
 
-// frozenFor returns n's frozen image for t with its oracle memo, freezing
+// frozenFor returns n's frozen image for t with its potential memo, freezing
 // a new image (with an empty memo) when none is cached or the cached one
 // is stale.
 func (n *Network) frozenFor(t WeightType) *frozen {

@@ -59,8 +59,8 @@ func (n *Network) LargestComponent() (*Network, map[graph.NodeID]graph.NodeID) {
 // The clone does not freeze again: for every weight type whose snapshot
 // n holds, the clone gets a snapshot sharing its CSR arrays, bound to the
 // clone's own disabled flags (graph.Snapshot.Rebind), and shares its
-// oracle memo, so the partition, base cliques, target labels and reverse
-// potentials built by any of them serve all of them.
+// potential memo, so the reverse potentials computed by any of them serve
+// all of them.
 func (n *Network) Clone() *Network {
 	n.snapMu.Lock()
 	defer n.snapMu.Unlock()
