@@ -37,8 +37,9 @@ func greedyPathCover(ctx context.Context, p Problem, opts Options) (Result, erro
 // generation, with the inner weighted Set Cover solved through its LP
 // relaxation (internal two-phase simplex) followed by deterministic
 // threshold rounding, randomized rounding trials, and redundancy pruning.
-// It finds the cheapest cuts but is the slowest algorithm, matching the
-// paper's 5-10x runtime gap over GreedyPathCover.
+// It finds the cheapest cuts but is the slowest algorithm. The paper
+// reports it 5-10x slower than GreedyPathCover; that ratio depends on the
+// LP and rounding implementation (see DESIGN.md).
 func lpPathCover(ctx context.Context, p Problem, opts Options) (Result, error) {
 	solver := func(ctx context.Context, pool []graph.Path, pr *Problem, pstarSet map[graph.EdgeID]struct{}) ([]graph.EdgeID, bool, error) {
 		return lpCover(ctx, pool, pr, pstarSet, opts)
@@ -212,48 +213,11 @@ func greedyCover(pool []graph.Path, p *Problem, pstarSet map[graph.EdgeID]struct
 }
 
 // lpCover solves the LP relaxation of the pool's weighted Set Cover and
-// rounds it: the deterministic x_e >= 1/f threshold (f = largest number of
-// cuttable edges on any pool path) always yields a feasible cover;
-// randomized rounding trials may find cheaper ones; both are pruned of
-// redundant edges before the cheapest is returned. The degraded return
-// reports that the LP broke down and the greedy cover substituted for it.
+// rounds it (see coverLP.round). The degraded return reports that the LP
+// broke down and the greedy cover substituted for it.
 func lpCover(ctx context.Context, pool []graph.Path, p *Problem, pstarSet map[graph.EdgeID]struct{}, opts Options) ([]graph.EdgeID, bool, error) {
-	// Collect the candidate edges (union of cuttable edges across pool).
-	idx := make(map[graph.EdgeID]int)
-	var edges []graph.EdgeID
-	maxRowLen := 1
-	for _, path := range pool {
-		rowLen := 0
-		for _, e := range path.Edges {
-			if !p.cuttable(e, pstarSet) {
-				continue
-			}
-			rowLen++
-			if _, ok := idx[e]; !ok {
-				idx[e] = len(edges)
-				edges = append(edges, e)
-			}
-		}
-		if rowLen > maxRowLen {
-			maxRowLen = rowLen
-		}
-	}
-
-	prob := lp.Problem{Objective: make([]float64, len(edges))}
-	for j, e := range edges {
-		prob.Objective[j] = p.Cost(e)
-	}
-	for _, path := range pool {
-		coeffs := make([]float64, len(edges))
-		for _, e := range path.Edges {
-			if j, ok := idx[e]; ok {
-				coeffs[j] = 1
-			}
-		}
-		prob.Rows = append(prob.Rows, lp.Constraint{Coeffs: coeffs, Sense: lp.GE, RHS: 1})
-	}
-
-	sol, err := lp.SolveCtx(ctx, prob)
+	c := newCoverLP(pool, p, pstarSet)
+	sol, err := lp.SolveCtx(ctx, c.relaxation())
 	if err != nil || sol.Status != lp.Optimal {
 		// An interrupted solve is not a solver failure: surface the typed
 		// error so the outer loop can degrade or abort as configured.
@@ -267,87 +231,196 @@ func lpCover(ctx context.Context, pool []graph.Path, p *Problem, pstarSet map[gr
 		cut, gerr := greedyCover(pool, p, pstarSet)
 		return cut, true, gerr
 	}
+	return c.round(sol.X, opts), false, nil
+}
 
-	covers := func(cut map[graph.EdgeID]struct{}) bool {
-		for _, path := range pool {
-			ok := false
-			for _, e := range path.Edges {
-				if _, in := cut[e]; in {
-					ok = true
-					break
-				}
+// coverLP is the pool's weighted Set Cover on incidence lists. Column j is
+// the cuttable edge edges[j] (numbered in order of first appearance in the
+// pool) with cost cost[j]; row i is pool path i. rows[i] lists the columns
+// on row i and cols[j] the rows through column j, each without repeats.
+type coverLP struct {
+	edges     []graph.EdgeID
+	cost      []float64
+	rows      [][]int
+	cols      [][]int
+	maxRowLen int // most cuttable edges on one pool path, at least 1
+}
+
+func newCoverLP(pool []graph.Path, p *Problem, pstarSet map[graph.EdgeID]struct{}) *coverLP {
+	c := &coverLP{rows: make([][]int, len(pool)), maxRowLen: 1}
+	idx := make(map[graph.EdgeID]int)
+	for i, path := range pool {
+		c.rows[i] = make([]int, 0, len(path.Edges))
+		rowLen := 0
+		for _, e := range path.Edges {
+			if !p.cuttable(e, pstarSet) {
+				continue
 			}
+			rowLen++
+			j, ok := idx[e]
 			if !ok {
-				return false
+				j = len(c.edges)
+				idx[e] = j
+				c.edges = append(c.edges, e)
+				c.cost = append(c.cost, p.Cost(e))
+				c.cols = append(c.cols, nil)
+			}
+			if n := len(c.cols[j]); n == 0 || c.cols[j][n-1] != i {
+				c.rows[i] = append(c.rows[i], j)
+				c.cols[j] = append(c.cols[j], i)
 			}
 		}
-		return true
-	}
-
-	// Deterministic threshold rounding.
-	thresh := 1/float64(maxRowLen) - 1e-9
-	bestCut := make(map[graph.EdgeID]struct{})
-	for j, e := range edges {
-		if sol.X[j] >= thresh {
-			bestCut[e] = struct{}{}
+		if rowLen > c.maxRowLen {
+			c.maxRowLen = rowLen
 		}
 	}
-	prune(bestCut, pool, p, covers)
-	bestCost := cutCost(bestCut, p)
+	return c
+}
 
-	// Randomized rounding trials.
-	rng := rand.New(rand.NewSource(opts.Seed + int64(len(pool))*7919))
-	alpha := math.Log(float64(len(pool))) + 1
-	for trial := 0; trial < opts.LPRoundingTrials; trial++ {
-		cand := make(map[graph.EdgeID]struct{})
-		for j, e := range edges {
-			if rng.Float64() < math.Min(1, alpha*sol.X[j]) {
-				cand[e] = struct{}{}
+// relaxation is the cover's LP relaxation: minimize the cut cost subject
+// to at least one (fractional) column on every row.
+func (c *coverLP) relaxation() lp.Problem {
+	prob := lp.Problem{Objective: c.cost}
+	for _, row := range c.rows {
+		coeffs := make([]float64, len(c.edges))
+		for _, j := range row {
+			coeffs[j] = 1
+		}
+		prob.Rows = append(prob.Rows, lp.Constraint{Coeffs: coeffs, Sense: lp.GE, RHS: 1})
+	}
+	return prob
+}
+
+// round turns the LP solution x into a cut, sorted by edge ID. The
+// deterministic x_j >= 1/f threshold (f = maxRowLen) always yields a
+// feasible cover up to the solver's tolerance; randomized rounding trials
+// (column j drawn with probability min(1, alpha*x_j)) may find cheaper
+// ones. Each cover is pruned of redundant columns, and the cheapest wins,
+// the threshold cut on a tie. A threshold selection that leaves a row
+// uncovered is kept unpruned.
+func (c *coverLP) round(x []float64, opts Options) []graph.EdgeID {
+	// Pruning visits columns most expensive first, ties by higher edge ID.
+	order := make([]int, len(c.edges))
+	for j := range order {
+		order[j] = j
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ja, jb := order[a], order[b]
+		if c.cost[ja] != c.cost[jb] {
+			return c.cost[ja] > c.cost[jb]
+		}
+		return c.edges[ja] > c.edges[jb]
+	})
+	hits := make([]int, len(c.rows))
+
+	thresh := 1/float64(c.maxRowLen) - 1e-9
+	best := make([]bool, len(c.edges))
+	for j := range best {
+		best[j] = x[j] >= thresh
+	}
+	if c.load(best, hits) {
+		c.prune(best, hits, order)
+	}
+	bestCost := c.selCost(best)
+
+	cand := make([]bool, len(c.edges))
+	try := func() {
+		if !c.load(cand, hits) {
+			return
+		}
+		c.prune(cand, hits, order)
+		if cost := c.selCost(cand); cost < bestCost {
+			best, cand, bestCost = cand, best, cost
+		}
+	}
+	alpha := math.Log(float64(len(c.rows))) + 1
+	integral := true
+	for j := range x {
+		if p := math.Min(1, alpha*x[j]); p > 0 && p < 1 {
+			integral = false
+			break
+		}
+	}
+	if integral {
+		// Every draw rng.Float64() < p has the same outcome in every
+		// trial, so all trials select the same set; a repeat can never
+		// beat its own cost, so one trial decides.
+		if opts.LPRoundingTrials > 0 {
+			for j := range cand {
+				cand[j] = alpha*x[j] >= 1
 			}
+			try()
 		}
-		if !covers(cand) {
-			continue
-		}
-		prune(cand, pool, p, covers)
-		if c := cutCost(cand, p); c < bestCost {
-			bestCut, bestCost = cand, c
+	} else {
+		rng := rand.New(rand.NewSource(opts.Seed + int64(len(c.rows))*7919))
+		for trial := 0; trial < opts.LPRoundingTrials; trial++ {
+			for j := range cand {
+				cand[j] = rng.Float64() < math.Min(1, alpha*x[j])
+			}
+			try()
 		}
 	}
 
-	out := make([]graph.EdgeID, 0, len(bestCut))
-	for e := range bestCut {
-		out = append(out, e)
+	out := []graph.EdgeID{}
+	for j, on := range best {
+		if on {
+			out = append(out, c.edges[j])
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, false, nil
+	return out
 }
 
-// prune removes redundant edges from cut, most expensive first, keeping it
-// a cover of pool.
-func prune(cut map[graph.EdgeID]struct{}, pool []graph.Path, p *Problem, covers func(map[graph.EdgeID]struct{}) bool) {
-	ordered := make([]graph.EdgeID, 0, len(cut))
-	for e := range cut {
-		ordered = append(ordered, e)
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		ci, cj := p.Cost(ordered[i]), p.Cost(ordered[j])
-		if ci != cj {
-			return ci > cj
+// load sets hits[i] to the number of selected columns on row i and reports
+// whether the selection covers every row.
+func (c *coverLP) load(sel []bool, hits []int) bool {
+	clear(hits)
+	for j, on := range sel {
+		if on {
+			for _, i := range c.cols[j] {
+				hits[i]++
+			}
 		}
-		return ordered[i] > ordered[j]
-	})
-	for _, e := range ordered {
-		delete(cut, e)
-		if !covers(cut) {
-			cut[e] = struct{}{}
+	}
+	for _, h := range hits {
+		if h == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// prune drops the redundant columns of a covering selection in the given
+// order: a column goes when every row through it has another hit.
+func (c *coverLP) prune(sel []bool, hits []int, order []int) {
+	for _, j := range order {
+		if !sel[j] {
+			continue
+		}
+		redundant := true
+		for _, i := range c.cols[j] {
+			if hits[i] < 2 {
+				redundant = false
+				break
+			}
+		}
+		if redundant {
+			sel[j] = false
+			for _, i := range c.cols[j] {
+				hits[i]--
+			}
 		}
 	}
 }
 
-func cutCost(cut map[graph.EdgeID]struct{}, p *Problem) float64 {
+// selCost sums the selected columns' costs in column order, so equal
+// selections always compare equal.
+func (c *coverLP) selCost(sel []bool) float64 {
 	total := 0.0
-	for e := range cut {
-		total += p.Cost(e)
+	for j, on := range sel {
+		if on {
+			total += c.cost[j]
+		}
 	}
 	return total
 }

@@ -289,30 +289,6 @@ func newTableau(p Problem) *tableau {
 	return t
 }
 
-// reducedCosts computes the reduced cost vector for the given per-column
-// objective under the current basis.
-func (t *tableau) reducedCosts(obj []float64) []float64 {
-	// y = c_B · B⁻¹ is implicit in the tableau: since the tableau is kept
-	// in canonical form (basis columns are unit vectors), reduced cost of
-	// column j is obj[j] - Σ_i obj[basis[i]] * a[i][j].
-	rc := make([]float64, t.cols)
-	for j := 0; j < t.cols; j++ {
-		if !t.alive[j] {
-			rc[j] = math.Inf(1) // never entering
-			continue
-		}
-		v := obj[j]
-		for i := 0; i < t.m; i++ {
-			cb := obj[t.basis[i]]
-			if cb != 0 {
-				v -= cb * t.a[i][j]
-			}
-		}
-		rc[j] = v
-	}
-	return rc
-}
-
 // pivot performs a standard pivot bringing column `enter` into the basis at
 // row `leave`.
 func (t *tableau) pivot(leave, enter int) {
@@ -345,15 +321,38 @@ func (t *tableau) pivot(leave, enter int) {
 // check costs one atomic load, negligible next to a dense pivot, yet bounds
 // cancellation latency to a handful of pivots.
 func (t *tableau) iterate(ctx context.Context, obj []float64, maxPivots int) (Status, error) {
+	// Rows whose basic column has a non-zero objective coefficient: only
+	// they contribute to a reduced cost.
+	costRows := make([]int, 0, t.m)
+	costs := make([]float64, 0, t.m)
 	for pivots := 0; pivots < maxPivots; pivots++ {
 		if pivots&63 == 0 && ctx.Err() != nil {
 			return 0, fmt.Errorf("%w: %w", ErrInterrupted, context.Cause(ctx))
 		}
-		rc := t.reducedCosts(obj)
+		costRows, costs = costRows[:0], costs[:0]
+		for i := 0; i < t.m; i++ {
+			cb := obj[t.basis[i]]
+			if cb != 0 {
+				costRows = append(costRows, i)
+				costs = append(costs, cb)
+			}
+		}
+		// Bland: the lowest-index column with a reduced cost below -eps
+		// enters. The tableau is kept in canonical form (basis columns are
+		// unit vectors), so the reduced cost of column j is
+		// obj[j] - Σ_i obj[basis[i]] * a[i][j]; columns past the entering
+		// one are never priced.
 		enter := -1
 		for j := 0; j < t.cols; j++ {
-			if t.alive[j] && rc[j] < -eps {
-				enter = j // Bland: lowest index
+			if !t.alive[j] {
+				continue
+			}
+			v := obj[j]
+			for k, i := range costRows {
+				v -= costs[k] * t.a[i][j]
+			}
+			if v < -eps {
+				enter = j
 				break
 			}
 		}
