@@ -29,13 +29,12 @@
 // hash-chained into a tamper-evident ledger, group-committed with one
 // fsync per Merkle batch, rotated into sealed segments at
 // -audit-rotate-bytes, and compacted into a Merkle-checkpoint stub past
-// -audit-compact-keep segments. Seal roots are periodically anchored to
-// an external witness (-audit-witness FILE, or -audit-witness-url URL
-// pointing at another instance's POST /v1/witness/anchor; serve one
-// with -witness-file). A server restarted over an altered ledger
-// refuses to serve; `serve -verify-audit DIR [-witness FILE]` checks a
-// ledger offline — exit 1 on the first broken record or rolled-back
-// tail, exit 2 when the directory holds no ledger at all.
+// -audit-compact-keep segments. Any ledger write or fsync failure, a
+// full disk included, fails closed: the server refuses work until the
+// ledger reopens. A server restarted over an altered ledger refuses to
+// serve; `serve -verify-audit DIR` checks a ledger offline — exit 1 on
+// the first broken record, exit 2 when the directory holds no ledger at
+// all.
 //
 //	go run ./cmd/serve -city boston,chicago -scale 0.05 -addr :8080
 package main
@@ -121,42 +120,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		auditSync = fs.Bool("audit-sync-each", false, "fsync the audit ledger after every record (per-record durability at full fsync cost)")
 		auditRot  = fs.Int64("audit-rotate-bytes", 64<<20, "rotate the active audit file into a sealed segment past this size (0 = never rotate)")
 		auditKeep = fs.Int("audit-compact-keep", 16, "compact all but this many newest sealed segments into a Merkle-checkpoint stub (0 = never compact)")
-		auditFull = fs.String("audit-on-full", "fail", "disk-full policy for the audit ledger: fail (refuse all work) or shed (drop audit records, mark responses degraded)")
-		auditWit  = fs.String("audit-witness", "", "anchor audit seal roots into this local append-only witness file")
-		auditWURL = fs.String("audit-witness-url", "", "anchor audit seal roots to this remote witness endpoint (another serve instance's POST /v1/witness/anchor)")
-		auditAnch = fs.Int("audit-anchor-every", 8, "anchor to the witness at least every N sealed batches")
-		witFile   = fs.String("witness-file", "", "act as a witness: chain anchors POSTed to /v1/witness/anchor into this file")
 		auditVrfy = fs.String("verify-audit", "", "offline-verify the audit ledger in this directory and exit (1 broken chain, 2 no ledger)")
-		vrfyWit   = fs.String("witness", "", "with -verify-audit: cross-check the ledger against this witness file (catches tail rollback)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *auditVrfy != "" {
-		return verifyAudit(*auditVrfy, *vrfyWit, out)
-	}
-	var onFull audit.DiskFullPolicy
-	switch *auditFull {
-	case "fail":
-		onFull = audit.DiskFullFailClosed
-	case "shed":
-		onFull = audit.DiskFullShed
-	default:
-		return fmt.Errorf("-audit-on-full must be fail or shed, got %q", *auditFull)
-	}
-	var witness audit.Witness
-	switch {
-	case *auditWit != "" && *auditWURL != "":
-		return errors.New("-audit-witness and -audit-witness-url are mutually exclusive: pick one anchoring target")
-	case *auditWit != "":
-		fw, err := audit.OpenFileWitness(*auditWit, nil)
-		if err != nil {
-			return fmt.Errorf("opening witness file: %w", err)
-		}
-		defer fw.Close()
-		witness = fw
-	case *auditWURL != "":
-		witness = &audit.HTTPWitness{URL: *auditWURL}
+		return verifyAudit(*auditVrfy, out)
 	}
 
 	// Each served city becomes a preloaded registry shard: snapshots are
@@ -214,10 +184,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		AuditSyncEachRecord: *auditSync,
 		AuditRotateBytes:    *auditRot,
 		AuditCompactKeep:    *auditKeep,
-		AuditOnDiskFull:     onFull,
-		AuditWitness:        witness,
-		AuditAnchorEvery:    *auditAnch,
-		WitnessFile:         *witFile,
 	})
 	if err != nil {
 		return err
@@ -273,11 +239,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			fmt.Fprintln(out, "serve: audit close:", err)
 		}
 	}
-	if w := srv.Witness(); w != nil {
-		if err := w.Close(); err != nil {
-			fmt.Fprintln(out, "serve: witness close:", err)
-		}
-	}
 	fmt.Fprintln(out, "serve: drained, exiting")
 	return nil
 }
@@ -285,21 +246,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // verifyAudit is the -verify-audit subcommand: an offline replay of the
 // whole ledger chain — stub, sealed segments, and active file as one
 // stream — usable as an external oracle after a crash or a suspected
-// alteration. With a witness file it additionally cross-checks every
-// anchor, catching the tail rollback the chain alone cannot see. On a
-// broken chain the returned error names the first bad record and the
-// process exits 1; a directory with no ledger exits 2.
-func verifyAudit(dir, witnessPath string, out io.Writer) error {
-	var (
-		rep audit.Report
-		wr  audit.WitnessReport
-		err error
-	)
-	if witnessPath != "" {
-		rep, wr, err = audit.VerifyDirWitness(dir, witnessPath)
-	} else {
-		rep, err = audit.VerifyDir(dir)
-	}
+// alteration. On a broken chain the returned error names the first bad
+// record and the process exits 1; a directory with no ledger exits 2.
+func verifyAudit(dir string, out io.Writer) error {
+	rep, err := audit.VerifyDir(dir)
 	if err != nil {
 		if errors.Is(err, audit.ErrNoLedger) {
 			return fmt.Errorf("nothing to verify: %w (fresh directory, or the wrong one?)", err)
@@ -319,13 +269,6 @@ func verifyAudit(dir, witnessPath string, out io.Writer) error {
 	if rep.TornBytes > 0 {
 		fmt.Fprintf(out, "serve: torn tail of %d bytes in %s (a kill mid-write; the next open heals it)\n",
 			rep.TornBytes, rep.TornFile)
-	}
-	if witnessPath != "" {
-		fmt.Fprintf(out, "serve: witness %s agrees: %d anchors (%d checked against live seals, %d vouch for compacted history), latest batch %d\n",
-			witnessPath, wr.Anchors, wr.Checked, wr.Uncheckable, wr.LatestBatch)
-		if wr.Torn {
-			fmt.Fprintln(out, "serve: witness file has a torn final line (healed at its next open)")
-		}
 	}
 	return nil
 }

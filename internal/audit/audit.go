@@ -106,9 +106,11 @@ type Record struct {
 	// result, so still audited.
 	Cached   bool   `json:"cached,omitempty"`
 	FailKind string `json:"fail_kind,omitempty"`
-	// Shed counts records dropped under the shed-on-disk-full policy just
-	// before this one; set only on Kind "audit-gap" records, which the
-	// ledger writes on recovery so the gap itself is chained and signed.
+	// Shed is written only by builds before the ledger went fail-closed
+	// on every write failure: they could drop records on a full disk and
+	// chain a Kind "audit-gap" record counting them. Current builds never
+	// set it, but the field stays so those ledgers still re-marshal to the
+	// bytes they were hashed from and verify on replay.
 	Shed uint64 `json:"shed,omitempty"`
 
 	// Prev is the Hash of the previous record (recordGenesis for the
@@ -175,9 +177,8 @@ func genesis(tag string) string {
 }
 
 var (
-	recordGenesis  = genesis("records")
-	sealGenesis    = genesis("seals")
-	witnessGenesis = genesis("witness")
+	recordGenesis = genesis("records")
+	sealGenesis   = genesis("seals")
 )
 
 // ChainError pinpoints the first integrity violation found in a ledger.

@@ -151,36 +151,45 @@ func TestLedgerChaosKillMidFlushResumesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLedgerChaosFsyncTransientFaultHealsByRetry fails the group
-// commit's fsync exactly once: the supervisor's retry-with-backoff must
-// absorb it — no poison, the flush succeeds, and the healed retry is
-// visible in Stats.
-func TestLedgerChaosFsyncTransientFaultHealsByRetry(t *testing.T) {
+// TestLedgerChaosSingleFsyncFaultPoisons fails the group commit's fsync
+// exactly once. A failed fsync may already have dropped the dirty pages,
+// so a retry that succeeds would prove nothing: the first failure must
+// poison the ledger, the probe must run exactly once (no retry), and a
+// fault-free reopen must verify without phantom records.
+func TestLedgerChaosSingleFsyncFaultPoisons(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultinject.New(1).Arm(faultinject.PointAuditFsync, faultinject.Rule{OnHit: 1})
 	l := openTest(t, dir, func(c *Config) { c.Injector = inj })
 	appendN(t, l, 0, 3)
-	if err := l.Flush(); err != nil {
-		t.Fatalf("flush with transient fsync fault = %v, want healed by retry", err)
+	if err := l.Flush(); !errors.Is(err, ErrLedgerFailed) || !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("flush with one fsync fault = %v, want sticky ErrLedgerFailed", err)
 	}
-	st := l.Stats()
-	if st.FsyncRetries == 0 {
-		t.Fatalf("stats = %+v, want FsyncRetries > 0", st)
+	if hits := inj.Hits(faultinject.PointAuditFsync); hits != 1 {
+		t.Fatalf("fsync probed %d times, want 1 (no retry)", hits)
 	}
-	if st.Error != "" {
-		t.Fatalf("transient fsync fault left sticky error %q", st.Error)
+	if _, err := l.Append(testRecord(3)); !errors.Is(err, ErrLedgerFailed) {
+		t.Fatalf("append after fsync fault = %v, want ErrLedgerFailed", err)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+	if st := l.Stats(); st.Error == "" || st.Fsyncs != 0 {
+		t.Fatalf("stats = %+v, want the sticky error and no counted fsync", st)
 	}
-	if _, err := VerifyDir(dir); err != nil {
+	_ = l.Close()
+
+	l2 := openTest(t, dir, nil)
+	if err := l2.Close(); err != nil {
+		t.Fatalf("fault-free reopen close: %v", err)
+	}
+	rep, err := VerifyDir(dir)
+	if err != nil {
 		t.Fatalf("VerifyDir: %v", err)
+	}
+	if rep.Records != 3 {
+		t.Fatalf("report = %+v, want exactly the 3 appended records", rep)
 	}
 }
 
 // TestLedgerChaosFsyncFaultPoisonsButKeepsIntegrity fails the group
-// commit's fsync persistently — every attempt, retries included:
-// durability is in doubt, so the ledger fails closed — but nothing was
+// commit's fsync on every attempt: durability is in doubt, so the ledger fails closed — but nothing was
 // torn, so a reopen finds a fully intact, verifiable chain including
 // the seal.
 func TestLedgerChaosFsyncFaultPoisonsButKeepsIntegrity(t *testing.T) {

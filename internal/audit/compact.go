@@ -11,8 +11,8 @@ package audit
 // caught by its self-hash and by the retained seal's own hash; a forged
 // stub that re-computes those hashes but lies about the range is caught
 // by the Prev cross-checks at the boundary; a wholesale rewrite of stub
-// AND the entire live suffix is exactly a tail-rollback, which only
-// witness anchoring (witness.go) can detect — the same detectability
+// AND the entire live suffix is exactly a tail-rollback, which only a
+// receipt held outside the ledger can expose — the same detectability
 // boundary the unsealed tail always had, now stated for the compacted
 // prefix.
 //
@@ -53,7 +53,7 @@ type CompactStub struct {
 	Seal Seal `json:"seal"`
 	// Hash is the SHA-256 of the stub's canonical JSON with this field
 	// blanked — a corruption check; authenticity comes from the boundary
-	// cross-checks and the witness.
+	// cross-checks.
 	Hash string `json:"hash"`
 }
 

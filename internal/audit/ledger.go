@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"syscall"
 	"time"
 
 	"altroute/internal/faultinject"
@@ -20,24 +19,6 @@ import (
 // ledgerFile is the active JSONL file name inside the ledger directory.
 // Rotation renames it into numbered sealed segments (see segment.go).
 const ledgerFile = "ledger.jsonl"
-
-// DiskFullPolicy declares what Append does when the disk is full.
-type DiskFullPolicy int
-
-const (
-	// DiskFullFailClosed (the default) poisons the ledger on ENOSPC:
-	// no record may be served unaudited, so the service refuses requests
-	// until an operator makes room and the ledger reopens. Chooses audit
-	// completeness over availability.
-	DiskFullFailClosed DiskFullPolicy = iota
-	// DiskFullShed keeps serving: the failed write is truncated away,
-	// the record is dropped, the receipt and /readyz report degraded,
-	// and a chained "audit-gap" record counting the dropped records is
-	// written once the disk recovers. Chooses availability over
-	// completeness — but the gap itself is signed, so the shed window is
-	// part of the verifiable history, never silent.
-	DiskFullShed
-)
 
 // Config configures a Ledger. Dir is required; every other field has a
 // default noted on it.
@@ -66,26 +47,11 @@ type Config struct {
 	// than this many sealed segments exist, the oldest are compacted
 	// into the Merkle-checkpoint stub. 0 (the default) never compacts.
 	CompactKeep int
-	// OnDiskFull picks the ENOSPC policy. Default DiskFullFailClosed.
-	OnDiskFull DiskFullPolicy
-	// FsyncRetries is how many times a failed fsync is retried (with
-	// backoff) before the failure goes sticky — transient EINTR-class
-	// faults heal invisibly. Default 2; -1 disables retries.
-	FsyncRetries int
-	// FsyncRetryBackoff is the first retry's delay, doubled per retry.
-	// Default 5ms.
-	FsyncRetryBackoff time.Duration
-	// Witness, when non-nil, receives periodic anchors of the latest
-	// seal, making tail rollback detectable (see witness.go).
-	Witness Witness
-	// AnchorEvery anchors at least every this many seal batches.
-	// Default 8.
-	AnchorEvery int
 	// Clock stamps records and measures flush latency. Default time.Now.
 	Clock func() time.Time
 	// Injector, when non-nil, arms the audit disk-fault points
-	// (PointAuditWrite, PointAuditFsync, PointAuditFull,
-	// PointAuditRotate, PointAuditCompact) for chaos tests.
+	// (PointAuditWrite, PointAuditFsync, PointAuditRotate,
+	// PointAuditCompact) for chaos tests.
 	Injector *faultinject.Injector
 }
 
@@ -96,32 +62,16 @@ func (c *Config) fill() {
 	if c.FlushRecords <= 0 {
 		c.FlushRecords = 64
 	}
-	if c.FsyncRetries == 0 {
-		c.FsyncRetries = 2
-	}
-	if c.FsyncRetries < 0 {
-		c.FsyncRetries = 0
-	}
-	if c.FsyncRetryBackoff <= 0 {
-		c.FsyncRetryBackoff = 5 * time.Millisecond
-	}
-	if c.AnchorEvery <= 0 {
-		c.AnchorEvery = 8
-	}
 	if c.Clock == nil {
 		c.Clock = func() time.Time { return time.Now() } //lint:allow wallclock audit records carry real timestamps; tests inject fixed clocks
 	}
 }
 
 // Receipt identifies an appended record: its ledger position and chain
-// hash. Clients quote the Seq back at GET /v1/audit/{seq}/proof. A
-// Degraded receipt means the record was shed under DiskFullShed — it
-// has no ledger position and will be represented only by the audit-gap
-// record written on recovery.
+// hash. Clients quote the Seq back at GET /v1/audit/{seq}/proof.
 type Receipt struct {
-	Seq      uint64 `json:"seq"`
-	Hash     string `json:"hash"`
-	Degraded bool   `json:"degraded,omitempty"`
+	Seq  uint64 `json:"seq"`
+	Hash string `json:"hash"`
 }
 
 // sealedBatch pairs a seal with its leaf hashes, kept for proof building.
@@ -129,11 +79,6 @@ type sealedBatch struct {
 	seal   Seal
 	leaves [][sha256.Size]byte
 }
-
-// errShedDropped is writeRecordLocked's signal that the record was
-// dropped by the shed policy after a successful truncate-heal: the
-// ledger is healthy but degraded. Never escapes the package.
-var errShedDropped = errors.New("audit: record shed (disk full)")
 
 // Stats is a point-in-time snapshot of the ledger, exported on /healthz.
 type Stats struct {
@@ -160,21 +105,6 @@ type Stats struct {
 	// stays intact and oversized until a retry lands.
 	RotateErrors  uint64 `json:"rotate_errors,omitempty"`
 	CompactErrors uint64 `json:"compact_errors,omitempty"`
-	// Degraded is the shed-policy state: records are (or recently were)
-	// being dropped on ENOSPC and the gap record has not landed yet.
-	// ShedRecords is the lifetime count of dropped records.
-	Degraded    bool   `json:"degraded,omitempty"`
-	ShedRecords uint64 `json:"shed_records,omitempty"`
-	// FsyncRetries counts transient fsync faults healed by retry.
-	FsyncRetries uint64 `json:"fsync_retries,omitempty"`
-	// Anchored/LastAnchorBatch/LastAnchorAgeS describe witness anchoring
-	// (absent when no witness is configured); WitnessErrors counts
-	// failed anchor submissions and WitnessError holds the latest one.
-	Anchored        bool    `json:"anchored,omitempty"`
-	LastAnchorBatch uint64  `json:"last_anchor_batch,omitempty"`
-	LastAnchorAgeS  float64 `json:"last_anchor_age_s,omitempty"`
-	WitnessErrors   uint64  `json:"witness_errors,omitempty"`
-	WitnessError    string  `json:"witness_error,omitempty"`
 	// Appended and Fsyncs count this process's work; their ratio
 	// (RecordsPerFsync) is the group-commit win over per-record fsync,
 	// which would pin it at 1.
@@ -189,9 +119,9 @@ type Stats struct {
 
 // Ledger is the tamper-evident result ledger. Open it with Open; Append
 // is safe for concurrent use. A background supervisor group-commits
-// pending records on the Config bounds and also drives rotation
-// follow-up work (compaction, witness anchoring); Close flushes the
-// tail and stops it.
+// pending records on the Config bounds and also drives compaction once
+// rotation has built up enough segments; Close flushes the tail and
+// stops it.
 type Ledger struct {
 	cfg        Config
 	dir        string
@@ -218,24 +148,13 @@ type Ledger struct {
 	closed      bool
 	compacting  bool
 
-	degraded    bool   // shed mode: records being dropped on ENOSPC
-	shedTotal   uint64 // lifetime dropped records
-	shedPending uint64 // dropped records not yet covered by a gap record
-
-	appended     uint64
-	fsyncs       uint64
-	fsyncRetried uint64
-	rotations    uint64
-	compactions  uint64
-	rotateErrs   uint64
-	compactErrs  uint64
-	lastFlush    time.Duration
-
-	anchored        bool
-	lastAnchorBatch uint64
-	lastAnchorTime  time.Time
-	witnessErrs     uint64
-	lastWitnessErr  error
+	appended    uint64
+	fsyncs      uint64
+	rotations   uint64
+	compactions uint64
+	rotateErrs  uint64
+	compactErrs uint64
+	lastFlush   time.Duration
 
 	// syncMu serializes fsyncs; they deliberately run OUTSIDE mu so the
 	// append hot path never waits on the disk, even mid group commit.
@@ -364,13 +283,12 @@ func Open(cfg Config) (*Ledger, error) { //lint:allow ctxflow replay is linear i
 // flushLoop is the durability supervisor. Every FlushEvery it seals
 // whatever is pending — bounding the crash-loss window in time the same
 // way FlushRecords bounds it in count. On every tick and every kick it
-// runs each fsync the append path deferred, compacts when rotation has
-// built up enough sealed segments, and anchors the latest seal to the
-// witness. A kick never seals: the batch it was sent for is already
-// sealed, and sealing a partial batch at whatever moment this goroutine
-// wakes would make batch boundaries depend on scheduling. Errors are
-// sticky in l.failed; the loop keeps draining so a poisoned ledger still
-// reports through Err rather than wedging.
+// runs each fsync the append path deferred and compacts when rotation
+// has built up enough sealed segments. A kick never seals: the batch it
+// was sent for is already sealed, and sealing a partial batch at whatever
+// moment this goroutine wakes would make batch boundaries depend on
+// scheduling. Errors are sticky in l.failed; the loop keeps draining so a
+// poisoned ledger still reports through Err rather than wedging.
 func (l *Ledger) flushLoop() {
 	defer l.flusher.Done()
 	t := time.NewTicker(l.cfg.FlushEvery)
@@ -394,7 +312,6 @@ func (l *Ledger) flushLoop() {
 		if wantCompact {
 			_ = l.compactOnce(l.cfg.CompactKeep)
 		}
-		l.maybeAnchor(false)
 	}
 }
 
@@ -404,8 +321,7 @@ func (l *Ledger) flushLoop() {
 // path never waits on the disk. A record that fills the batch seals it
 // inline (batch boundaries stay deterministic) and hands the fsync to the
 // background flusher. With SyncEachRecord the record is sealed and
-// fsynced before Append returns. Under DiskFullShed a full disk yields
-// a Degraded receipt instead of an error.
+// fsynced before Append returns.
 func (l *Ledger) Append(rec Record) (Receipt, error) {
 	r, sealed, err := l.appendLocked(rec)
 	if err != nil {
@@ -428,7 +344,9 @@ func (l *Ledger) Append(rec Record) (Receipt, error) {
 
 // appendLocked is Append's critical section: chain, write, and (at a
 // batch boundary) seal — everything except the fsync, which must not run
-// under l.mu. The bool reports whether this append sealed a batch.
+// under l.mu. The bool reports whether this append sealed a batch. Any
+// write failure, a full disk included, poisons the ledger: no record may
+// be served unaudited.
 func (l *Ledger) appendLocked(rec Record) (Receipt, bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -438,39 +356,6 @@ func (l *Ledger) appendLocked(rec Record) (Receipt, bool, error) {
 	if l.failed != nil {
 		return Receipt{}, false, l.failed
 	}
-	sealedAny := false
-	if l.shedPending > 0 {
-		// The disk shed records earlier; before the next real record,
-		// write the chained gap record so the hole is part of the signed
-		// history. If the disk is still full the gap write sheds too (the
-		// pending count is untouched) and we stay degraded.
-		gap := Record{Kind: "audit-gap", Shed: l.shedPending}
-		if _, gs, err := l.writeRecordLocked(gap); err == nil {
-			l.shedPending = 0
-			l.degraded = false
-			sealedAny = gs
-		} else if !errors.Is(err, errShedDropped) {
-			return Receipt{}, false, err
-		}
-	}
-	r, sealed, err := l.writeRecordLocked(rec)
-	if err != nil {
-		if errors.Is(err, errShedDropped) {
-			l.degraded = true
-			l.shedTotal++
-			l.shedPending++
-			return Receipt{Degraded: true}, sealedAny, nil
-		}
-		return Receipt{}, false, err
-	}
-	return r, sealed || sealedAny, nil
-}
-
-// writeRecordLocked chains and writes one record under l.mu, sealing at
-// a batch boundary. On a disk-full failure under the shed policy it
-// truncate-heals the active file and returns errShedDropped (the caller
-// does the shed accounting); every other write failure poisons.
-func (l *Ledger) writeRecordLocked(rec Record) (Receipt, bool, error) {
 	rec.Seq = l.seq
 	rec.TimeNS = l.cfg.Clock().UnixNano()
 	rec.Prev = l.recHead
@@ -488,10 +373,7 @@ func (l *Ledger) writeRecordLocked(rec Record) (Receipt, bool, error) {
 		return Receipt{}, false, fmt.Errorf("audit: %w", err)
 	}
 	if err := l.writeLine(b); err != nil {
-		if serr := l.shedHealLocked(err); serr != nil {
-			return Receipt{}, false, serr
-		}
-		return Receipt{}, false, errShedDropped
+		return Receipt{}, false, l.fail(err)
 	}
 	l.seq++
 	l.recHead = h
@@ -510,18 +392,12 @@ func (l *Ledger) writeRecordLocked(rec Record) (Receipt, bool, error) {
 
 // writeLine writes one JSONL line through the disk-fault probes and
 // flushes it to the OS, advancing activeBytes on success. Errors are
-// returned raw — stickiness is the caller's decision, because a
-// disk-full failure under the shed policy heals instead of poisoning.
+// returned raw; the callers poison the ledger with them.
 func (l *Ledger) writeLine(b []byte) error {
 	b = append(b, '\n')
-	if err := l.cfg.Injector.Probe(faultinject.PointAuditFull); err != nil {
-		// Model a real full disk: a prefix of the line lands, the rest
-		// does not.
-		_, _ = l.w.Write(b[:len(b)/2])
-		_ = l.w.Flush()
-		return fmt.Errorf("%w: %w", syscall.ENOSPC, err)
-	}
 	if err := l.cfg.Injector.Probe(faultinject.PointAuditWrite); err != nil {
+		// Model a failed write, a full disk among them: a prefix of the
+		// line lands, the rest does not.
 		_, _ = l.w.Write(b[:len(b)/2])
 		_ = l.w.Flush()
 		return err
@@ -533,25 +409,6 @@ func (l *Ledger) writeLine(b []byte) error {
 		return err
 	}
 	l.activeBytes += int64(len(b))
-	return nil
-}
-
-// shedHealLocked classifies a write failure. Disk-full under the shed
-// policy: truncate the active file back to the last complete line
-// (discarding any torn prefix the failed write left), reset the writer,
-// and return nil — the caller drops the record and marks degradation.
-// Anything else (or a failed heal): poison and return the sticky error.
-func (l *Ledger) shedHealLocked(err error) error {
-	if l.cfg.OnDiskFull != DiskFullShed || !errors.Is(err, syscall.ENOSPC) {
-		return l.fail(err)
-	}
-	// A fresh writer drops bytes stuck in the failed one's buffer; the
-	// truncate drops any torn prefix that reached the file. O_APPEND
-	// repositions the next write at the new end.
-	l.w = bufio.NewWriter(l.f)
-	if terr := os.Truncate(l.activePath, l.activeBytes); terr != nil {
-		return l.fail(fmt.Errorf("shed heal: %w (after %w)", terr, err))
-	}
 	return nil
 }
 
@@ -606,18 +463,6 @@ func (l *Ledger) sealLocked() error {
 		return fmt.Errorf("audit: %w", err)
 	}
 	if err := l.writeLine(b); err != nil {
-		if l.cfg.OnDiskFull == DiskFullShed && errors.Is(err, syscall.ENOSPC) {
-			// The seal line itself hit the full disk. The pending records
-			// are already on disk and stay pending; heal the torn seal
-			// prefix and retry the seal at the next tick. Degraded, not
-			// poisoned — no record was lost.
-			l.degraded = true
-			l.w = bufio.NewWriter(l.f)
-			if terr := os.Truncate(l.activePath, l.activeBytes); terr != nil {
-				return l.fail(fmt.Errorf("shed heal: %w (after %w)", terr, err))
-			}
-			return nil
-		}
 		return l.fail(err)
 	}
 	leaves := make([][sha256.Size]byte, len(l.pending))
@@ -626,12 +471,6 @@ func (l *Ledger) sealLocked() error {
 	l.sealHead = seal.Hash
 	l.pending = l.pending[:0]
 	l.dirty = true
-	if l.shedPending == 0 {
-		// A deferred seal (its line hit the full disk earlier) has now
-		// landed and no shed records await their gap record: the shed
-		// window is over.
-		l.degraded = false
-	}
 	if l.cfg.RotateBytes > 0 && l.activeBytes >= l.cfg.RotateBytes {
 		return l.rotateLocked()
 	}
@@ -692,8 +531,10 @@ func (l *Ledger) rotateLocked() error {
 // syncDirty is the group commit's second half: one fsync covering every
 // sealed-but-unsynced byte. It runs under syncMu only, so appends (and
 // further seals) proceed while the disk works; a seal that lands mid-sync
-// keeps dirty set for the next round. Transient fsync faults are retried
-// with exponential backoff before the failure goes sticky; a rotation
+// keeps dirty set for the next round. A failed fsync poisons the ledger
+// at once and is never retried: the kernel may already have dropped the
+// dirty pages and marked them clean, so a retry that succeeds would
+// claim durability for bytes that never reached the disk. A rotation
 // landing mid-sync makes the outcome moot (rotation fsyncs the old file
 // before renaming it).
 func (l *Ledger) syncDirty() error {
@@ -715,19 +556,9 @@ func (l *Ledger) syncDirty() error {
 	l.mu.Unlock()
 
 	start := l.cfg.Clock()
-	var serr error
-	for attempt := 0; ; attempt++ {
-		serr = l.cfg.Injector.Probe(faultinject.PointAuditFsync)
-		if serr == nil {
-			serr = f.Sync()
-		}
-		if serr == nil || attempt >= l.cfg.FsyncRetries {
-			break
-		}
-		time.Sleep(l.cfg.FsyncRetryBackoff << attempt)
-		l.mu.Lock()
-		l.fsyncRetried++
-		l.mu.Unlock()
+	serr := l.cfg.Injector.Probe(faultinject.PointAuditFsync)
+	if serr == nil {
+		serr = f.Sync()
 	}
 
 	l.mu.Lock()
@@ -847,62 +678,9 @@ func (l *Ledger) noteCompactErr(err error) error {
 	return fmt.Errorf("audit: compaction deferred: %w", err)
 }
 
-// maybeAnchor submits the newest seal to the configured witness when it
-// is AnchorEvery batches past the last anchor (final forces the submit,
-// used by Close so shutdown never strands unanchored seals). Witness
-// failures are counted and surfaced in Stats, never sticky: the ledger
-// itself is consistent, only the rollback-detection horizon lags.
-func (l *Ledger) maybeAnchor(final bool) {
-	if l.cfg.Witness == nil {
-		return
-	}
-	l.mu.Lock()
-	if l.failed != nil {
-		l.mu.Unlock()
-		return
-	}
-	var seal Seal
-	switch {
-	case len(l.batches) > 0:
-		seal = l.batches[len(l.batches)-1].seal
-	case l.stub != nil:
-		seal = l.stub.Seal
-	default:
-		l.mu.Unlock()
-		return
-	}
-	if l.anchored && seal.Batch <= l.lastAnchorBatch {
-		l.mu.Unlock()
-		return
-	}
-	if l.anchored && !final && seal.Batch-l.lastAnchorBatch < uint64(l.cfg.AnchorEvery) {
-		l.mu.Unlock()
-		return
-	}
-	sub := Anchor{
-		Batch:    seal.Batch,
-		Records:  seal.FirstSeq + uint64(seal.Count),
-		SealHash: seal.Hash,
-		Root:     seal.Root,
-	}
-	l.mu.Unlock()
-
-	stored, err := l.cfg.Witness.Anchor(sub)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err != nil {
-		l.witnessErrs++
-		l.lastWitnessErr = err
-		return
-	}
-	l.anchored = true
-	l.lastAnchorBatch = stored.Batch
-	l.lastAnchorTime = l.cfg.Clock()
-}
-
-// Close seals the tail, stops the supervisor, syncs, anchors the final
-// seal, and closes the file. A failed ledger still closes its file; the
-// sticky error is returned.
+// Close seals the tail, stops the supervisor, syncs, and closes the
+// file. A failed ledger still closes its file; the sticky error is
+// returned.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -920,7 +698,6 @@ func (l *Ledger) Close() error {
 	if serr := l.syncDirty(); ferr == nil {
 		ferr = serr
 	}
-	l.maybeAnchor(true)
 	l.mu.Lock()
 	cerr := l.f.Close()
 	l.mu.Unlock()
@@ -964,7 +741,7 @@ func (l *Ledger) Record(seq uint64) (Record, bool) {
 // a never-assigned seq; ErrUnsealed for a record still waiting for its
 // group commit (retry after the flush interval); ErrCompacted for a
 // record whose batch was compacted into the stub — its leaves are gone,
-// vouched for only by the retained seal and any witness anchors.
+// vouched for only by the retained seal.
 func (l *Ledger) Proof(seq uint64) (Proof, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -1017,10 +794,6 @@ func (l *Ledger) Stats() Stats {
 		Compactions:   l.compactions,
 		RotateErrors:  l.rotateErrs,
 		CompactErrors: l.compactErrs,
-		Degraded:      l.degraded,
-		ShedRecords:   l.shedTotal,
-		FsyncRetries:  l.fsyncRetried,
-		WitnessErrors: l.witnessErrs,
 		Appended:      l.appended,
 		Fsyncs:        l.fsyncs,
 		LastFlushMS:   float64(l.lastFlush) / float64(time.Millisecond),
@@ -1029,14 +802,6 @@ func (l *Ledger) Stats() Stats {
 		st.CompactedSegments = l.stub.Segments
 		st.CompactedRecords = l.stub.Records
 		st.CompactedBatches = l.stub.Batches
-	}
-	if l.anchored {
-		st.Anchored = true
-		st.LastAnchorBatch = l.lastAnchorBatch
-		st.LastAnchorAgeS = l.cfg.Clock().Sub(l.lastAnchorTime).Seconds()
-	}
-	if l.lastWitnessErr != nil {
-		st.WitnessError = l.lastWitnessErr.Error()
 	}
 	if l.fsyncs > 0 {
 		st.RecordsPerFsync = float64(l.appended) / float64(l.fsyncs)

@@ -362,6 +362,74 @@ func TestChainErrorNamesFirstBrokenRecord(t *testing.T) {
 	}
 }
 
+// TestLedgerFromEarlierBuildWithGapRecordVerifies replays a ledger that
+// an earlier build wrote while it could still drop records on a full
+// disk: testdata/legacy-gap holds r0, the chained "audit-gap" record
+// counting one dropped record, and r2–r4 in three sealed batches. The
+// Shed field must still re-marshal to the hashed bytes, so VerifyDir and
+// Open accept the directory and the ledger keeps appending on top of it;
+// a flipped byte in the gap record must still be a ChainError at seq 1.
+func TestLedgerFromEarlierBuildWithGapRecordVerifies(t *testing.T) {
+	base, err := os.ReadFile(filepath.Join("testdata", "legacy-gap", ledgerFile))
+	if err != nil {
+		t.Fatalf("read fixture: %v", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ledgerFile), base, 0o644); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	rep, err := VerifyDir(dir)
+	if err != nil {
+		t.Fatalf("VerifyDir: %v", err)
+	}
+	if rep.Records != 5 || rep.SealedBatches != 3 || rep.Pending != 0 {
+		t.Fatalf("report = %+v, want 5 records in 3 sealed batches", rep)
+	}
+	l := openTest(t, dir, func(c *Config) { c.FlushRecords = 2 })
+	gap, ok := l.Record(1)
+	if !ok || gap.Kind != "audit-gap" || gap.Shed != 1 {
+		t.Fatalf("record 1 = %+v, want the audit-gap record with shed=1", gap)
+	}
+	if p, err := l.Proof(1); err != nil || VerifyProof(p) != nil {
+		t.Fatalf("proof of the gap record: %v", err)
+	}
+	appendN(t, l, 5, 7)
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if rep, err := VerifyDir(dir); err != nil || rep.Records != 7 {
+		t.Fatalf("VerifyDir after appending = %+v, %v", rep, err)
+	}
+
+	lines := splitLines(base)
+	gapStart := len(lines[0]) + 1
+	mdir := t.TempDir() // every mutant is refused, so none leaves anything behind
+	for pos := gapStart; pos < gapStart+len(lines[1]); pos++ {
+		mut := append([]byte(nil), base...)
+		mut[pos] ^= 0x01
+		if err := os.WriteFile(filepath.Join(mdir, ledgerFile), mut, 0o644); err != nil {
+			t.Fatalf("write mutant: %v", err)
+		}
+		if _, err := Open(Config{Dir: mdir}); !errors.Is(err, ErrChainBroken) {
+			t.Fatalf("flip at byte %d: Open = %v, want ErrChainBroken", pos, err)
+		}
+		_, err := VerifyDir(mdir)
+		var ce *ChainError
+		if !errors.As(err, &ce) {
+			t.Fatalf("flip at byte %d: VerifyDir = %v, want *ChainError", pos, err)
+		}
+	}
+	lines[1] = []byte(replaceOnce(string(lines[1]), `"shed":1`, `"shed":2`))
+	if err := os.WriteFile(filepath.Join(mdir, ledgerFile), joinLines(lines), 0o644); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	_, err = VerifyDir(mdir)
+	var ce *ChainError
+	if !errors.As(err, &ce) || ce.Seq != 1 {
+		t.Fatalf("VerifyDir with the gap count rewritten = %v, want a ChainError at seq 1", err)
+	}
+}
+
 func splitLines(data []byte) [][]byte {
 	var lines [][]byte
 	start := 0

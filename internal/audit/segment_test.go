@@ -108,9 +108,6 @@ func TestVerifyDirNoLedgerDistinctError(t *testing.T) {
 	if _, err := VerifyDir(filepath.Join(t.TempDir(), "never-created")); !errors.Is(err, ErrNoLedger) {
 		t.Errorf("missing dir: err = %v, want ErrNoLedger", err)
 	}
-	if _, _, err := VerifyDirWitness(t.TempDir(), filepath.Join(t.TempDir(), "w.jsonl")); !errors.Is(err, ErrNoLedger) {
-		t.Errorf("witness verify, empty dir: err = %v, want ErrNoLedger", err)
-	}
 }
 
 // TestVerifyDirDeletedInteriorSegmentRefused deletes a middle segment and

@@ -322,71 +322,3 @@ func VerifyDir(dir string) (Report, error) { //lint:allow ctxflow offline verifi
 	}
 	return ds.report(), nil
 }
-
-// WitnessReport summarizes the cross-check of a ledger against a
-// witness file.
-type WitnessReport struct {
-	// Anchors is the witness chain length; Checked of those matched a
-	// seal the ledger still holds (live, or the stub's retained seal);
-	// Uncheckable anchors point into the compacted range whose seal
-	// bytes are gone — they vouch for history the stub summarizes.
-	Anchors     int `json:"anchors"`
-	Checked     int `json:"checked"`
-	Uncheckable int `json:"uncheckable"`
-	// LatestBatch is the newest witnessed batch.
-	LatestBatch uint64 `json:"latest_batch"`
-	// Torn marks a torn final witness line (healed at next witness open).
-	Torn bool `json:"torn"`
-}
-
-// VerifyDirWitness verifies the ledger in dir AND cross-checks it
-// against the anchors in witnessPath. Beyond VerifyDir it detects the
-// one tamper class the chain alone cannot: rolling the ledger tail back
-// past an anchored seal, or rewriting history under an anchored batch
-// number. Both come back as errors wrapping ErrChainBroken.
-func VerifyDirWitness(dir, witnessPath string) (Report, WitnessReport, error) { //lint:allow ctxflow offline verification is linear in the ledger and witness files and runs to completion
-	ds, err := replayDir(dir)
-	if err != nil {
-		return Report{}, WitnessReport{}, err
-	}
-	if !ds.lay.hasAny {
-		return Report{}, WitnessReport{}, fmt.Errorf("%s: %w", dir, ErrNoLedger)
-	}
-	rep := ds.report()
-	anchors, torn, err := LoadWitnessFile(witnessPath)
-	if err != nil {
-		return rep, WitnessReport{}, err
-	}
-	wr := WitnessReport{Anchors: len(anchors), Torn: torn}
-	for _, a := range anchors {
-		wr.LatestBatch = a.Batch
-		switch {
-		case a.Batch >= ds.totalBatches():
-			return rep, wr, fmt.Errorf(
-				"%w: witness holds anchor for batch %d (%d sealed records) but the ledger has only %d batches — tail rolled back past the last anchor",
-				ErrChainBroken, a.Batch, a.Records, ds.totalBatches())
-		case a.Batch >= ds.baseBatch:
-			seal := ds.batches[a.Batch-ds.baseBatch].seal
-			if seal.Hash != a.SealHash || seal.Root != a.Root || seal.FirstSeq+uint64(seal.Count) != a.Records {
-				return rep, wr, fmt.Errorf(
-					"%w: batch %d was witnessed as %s but the ledger now seals it as %s — history rewritten under an anchored seal",
-					ErrChainBroken, a.Batch, a.SealHash, seal.Hash)
-			}
-			wr.Checked++
-		case ds.stub != nil && a.Batch == ds.stub.Seal.Batch:
-			seal := ds.stub.Seal
-			if seal.Hash != a.SealHash || seal.Root != a.Root || seal.FirstSeq+uint64(seal.Count) != a.Records {
-				return rep, wr, fmt.Errorf(
-					"%w: batch %d was witnessed as %s but the compaction stub retains it as %s — stub forged under an anchored seal",
-					ErrChainBroken, a.Batch, a.SealHash, seal.Hash)
-			}
-			wr.Checked++
-		default:
-			// The anchored seal's bytes were compacted away; the anchor
-			// still vouches for the summarized prefix but there is
-			// nothing left to compare it to byte-for-byte.
-			wr.Uncheckable++
-		}
-	}
-	return rep, wr, nil
-}

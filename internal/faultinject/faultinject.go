@@ -47,17 +47,14 @@ const (
 	PointServerPanic Point = "server/handler-panic"
 	// PointAuditWrite fails an audit-ledger line write after emitting only
 	// a prefix of its bytes — the torn-write shape a mid-write kill or a
-	// full disk leaves on a JSONL file.
+	// full disk leaves on a JSONL file. The ledger fails closed on it
+	// either way.
 	PointAuditWrite Point = "audit/write"
 	// PointAuditFsync fails the audit ledger's group-commit fsync after
 	// the batch's seal line reached the OS, so the batch's durability (not
-	// its integrity) is in doubt on the next open. The ledger retries
-	// transient fsync faults with backoff before the failure goes sticky.
+	// its integrity) is in doubt on the next open. The ledger fails
+	// closed on the first fsync fault; it never retries one.
 	PointAuditFsync Point = "audit/fsync"
-	// PointAuditFull fails an audit-ledger line write the way a full disk
-	// does: a prefix of the line lands, the rest returns ENOSPC. Exercises
-	// the DiskFullFailClosed vs DiskFullShed policy split.
-	PointAuditFull Point = "audit/disk-full"
 	// PointAuditRotate refuses the segment-rotation rename, leaving the
 	// oversized file active; rotation must retry at the next seal.
 	PointAuditRotate Point = "audit/rotate"

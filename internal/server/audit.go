@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,13 +12,10 @@ import (
 
 // AuditRef is the ledger receipt attached to audited responses: the
 // record's ledger position and chain hash. Clients hold it to later fetch
-// (and offline-verify) the record's inclusion proof. A Degraded ref has
-// neither: the record was shed under the disk-full policy and is covered
-// only by the signed audit-gap record written on recovery.
+// (and offline-verify) the record's inclusion proof.
 type AuditRef struct {
-	Seq      uint64 `json:"seq"`
-	Hash     string `json:"hash"`
-	Degraded bool   `json:"degraded,omitempty"`
+	Seq  uint64 `json:"seq"`
+	Hash string `json:"hash"`
 }
 
 // auditAttack records one served /v1/attack outcome — success, cache hit,
@@ -55,9 +51,6 @@ func (s *Server) auditAttack(city string, req *AttackRequest, key attackKey, out
 	receipt, err := s.ledger.Append(rec)
 	if err != nil {
 		return nil, err
-	}
-	if receipt.Degraded {
-		return &AuditRef{Degraded: true}, nil
 	}
 	return &AuditRef{Seq: receipt.Seq, Hash: receipt.Hash}, nil
 }
@@ -124,38 +117,5 @@ func (s *Server) handleAuditProof(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "other", err)
 	default:
 		writeJSON(w, http.StatusOK, proof)
-	}
-}
-
-// handleWitnessAnchor serves POST /v1/witness/anchor: this server's
-// witness store chains the submitted anchor and returns it as stored.
-// Equivocation — the same batch submitted with a different hash — is a
-// 409 and is deliberately loud: it is the detection a witness exists
-// for, not a retryable conflict.
-func (s *Server) handleWitnessAnchor(w http.ResponseWriter, r *http.Request) {
-	if s.witness == nil {
-		s.writeError(w, http.StatusNotFound, "witness_disabled",
-			errors.New("server: this instance is not a witness (start with -witness-file)"))
-		return
-	}
-	var a audit.Anchor
-	if err := json.NewDecoder(r.Body).Decode(&a); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Errorf("server: decoding anchor: %w", err))
-		return
-	}
-	if a.SealHash == "" || a.Root == "" {
-		s.writeError(w, http.StatusBadRequest, "bad_request",
-			errors.New("server: anchor needs seal_hash and root"))
-		return
-	}
-	stored, err := s.witness.Anchor(a)
-	switch {
-	case errors.Is(err, audit.ErrWitnessEquivocation):
-		s.writeError(w, http.StatusConflict, "equivocation", err)
-	case err != nil:
-		s.writeError(w, http.StatusServiceUnavailable, "witness_failed", err)
-	default:
-		writeJSON(w, http.StatusOK, stored)
 	}
 }

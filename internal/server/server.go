@@ -112,18 +112,6 @@ type Config struct {
 	// no compaction).
 	AuditRotateBytes int64
 	AuditCompactKeep int
-	// AuditOnDiskFull picks the ENOSPC policy: fail closed (default) or
-	// shed records and serve degraded (see audit.DiskFullPolicy).
-	AuditOnDiskFull audit.DiskFullPolicy
-	// AuditWitness, when non-nil, receives periodic anchors of the
-	// ledger's latest seal so tail rollback is detectable offline;
-	// AuditAnchorEvery sets the anchor cadence in seal batches.
-	AuditWitness     audit.Witness
-	AuditAnchorEvery int
-	// WitnessFile, when non-empty, makes THIS server a witness for other
-	// instances: POST /v1/witness/anchor chains submitted anchors into
-	// the append-only file.
-	WitnessFile string
 	// Injector, when non-nil, is attached to every request context for
 	// chaos testing.
 	Injector *faultinject.Injector
@@ -254,9 +242,6 @@ type Server struct {
 	// — but refuses all attack work until the operator intervenes.
 	ledger   *audit.Ledger
 	auditErr error
-	// witness is this server's own witness store (nil unless WitnessFile
-	// is set), served at POST /v1/witness/anchor for OTHER instances.
-	witness *audit.FileWitness
 }
 
 // New validates cfg and returns a ready Server. The network's weight and
@@ -309,13 +294,6 @@ func New(cfg Config) (*Server, error) {
 		stopDrain: stopDrain,
 		batches:   map[string]bool{},
 	}
-	if cfg.WitnessFile != "" {
-		witness, err := audit.OpenFileWitness(cfg.WitnessFile, cfg.clock)
-		if err != nil {
-			return nil, fmt.Errorf("server: opening witness file: %w", err)
-		}
-		s.witness = witness
-	}
 	if cfg.AuditDir != "" {
 		ledger, err := audit.Open(audit.Config{
 			Dir:            cfg.AuditDir,
@@ -324,9 +302,6 @@ func New(cfg Config) (*Server, error) {
 			SyncEachRecord: cfg.AuditSyncEachRecord,
 			RotateBytes:    cfg.AuditRotateBytes,
 			CompactKeep:    cfg.AuditCompactKeep,
-			OnDiskFull:     cfg.AuditOnDiskFull,
-			Witness:        cfg.AuditWitness,
-			AnchorEvery:    cfg.AuditAnchorEvery,
 			Injector:       cfg.Injector,
 		})
 		switch {
@@ -348,10 +323,6 @@ func New(cfg Config) (*Server, error) {
 	// The proof endpoint is read-only and bypasses the drain gate: clients
 	// must be able to verify history while the server refuses new work.
 	s.mux.HandleFunc("GET /v1/audit/{seq}/proof", s.handleAuditProof)
-	// The witness endpoint also bypasses the gate: anchoring another
-	// instance's seals is cheap, independent of this server's pipeline,
-	// and most valuable exactly when failure domains are misbehaving.
-	s.mux.HandleFunc("POST /v1/witness/anchor", s.handleWitnessAnchor)
 	return s, nil
 }
 
@@ -456,10 +427,6 @@ func (s *Server) Registry() *registry.Registry { return s.reg }
 // drain so the unsealed tail gets its final group commit.
 func (s *Server) Ledger() *audit.Ledger { return s.ledger }
 
-// Witness exposes this server's own witness store (nil unless
-// Config.WitnessFile is set). cmd/serve closes it at shutdown.
-func (s *Server) Witness() *audit.FileWitness { return s.witness }
-
 // AuditErr reports the startup chain verification failure that put the
 // server in refuse mode (nil when the chain verified or auditing is
 // disabled). cmd/serve surfaces it at startup so the operator sees why
@@ -478,21 +445,10 @@ type healthzResponse struct {
 	PathsetCache registry.CacheStats   `json:"pathset_cache"`
 	Coalescing   registry.GroupStats   `json:"coalescing"`
 	// Audit carries the ledger counters (chain heads, sealed batches,
-	// pending tail, segment/compaction bounds, witness-anchor age, shed
-	// and degraded counters, fsync coalescing ratio, last group-commit
-	// latency) when auditing is enabled — or just the startup chain error
-	// in refuse mode.
+	// pending tail, segment/compaction bounds, fsync coalescing ratio,
+	// last group-commit latency) when auditing is enabled — or just the
+	// startup chain error in refuse mode.
 	Audit *audit.Stats `json:"audit,omitempty"`
-	// Witness describes this server's own witness store (the anchors it
-	// holds for OTHER instances), present only with -witness-file.
-	Witness *witnessStats `json:"witness,omitempty"`
-}
-
-// witnessStats summarizes the witness store on /healthz.
-type witnessStats struct {
-	Anchors     int    `json:"anchors"`
-	LatestBatch uint64 `json:"latest_batch,omitempty"`
-	Head        string `json:"head,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -512,16 +468,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	case s.auditErr != nil:
 		resp.Audit = &audit.Stats{Error: s.auditErr.Error()}
 	}
-	if s.witness != nil {
-		ws := &witnessStats{}
-		if anchors := s.witness.Anchors(); len(anchors) > 0 {
-			last := anchors[len(anchors)-1]
-			ws.Anchors = len(anchors)
-			ws.LatestBatch = last.Batch
-			ws.Head = last.Hash
-		}
-		resp.Witness = ws
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -534,10 +480,8 @@ type readyzResponse struct {
 	QueuedWaiters int    `json:"queued_waiters"`
 	UsedUnits     int    `json:"used_units"`
 	CapacityUnits int    `json:"capacity_units"`
-	// Audit is "ok" when the ledger is healthy, "degraded" when the shed
-	// policy is dropping records on a full disk (the server stays ready —
-	// that is the policy's point), "audit_chain_broken" or "audit_failed"
-	// when it is refusing work, and empty when disabled.
+	// Audit is "ok" when the ledger is healthy, "audit_chain_broken" or
+	// "audit_failed" when it is refusing work, and empty when disabled.
 	Audit string `json:"audit,omitempty"`
 }
 
@@ -552,9 +496,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 	if s.ledger != nil || s.auditErr != nil {
 		resp.Audit = "ok"
-	}
-	if s.ledger != nil && s.ledger.Stats().Degraded {
-		resp.Audit = "degraded"
 	}
 	status := http.StatusOK
 	if kind, err := s.auditRefusal(); err != nil {
